@@ -23,7 +23,7 @@ from .model import (FactorPair, Field, Hyperparams, LocalObservations,
                     build_window)
 from .protocol import (ORGANIZER, AuditReport, AuditViolation, ChainMessage,
                        Continue, Finished, RunResult, TranscriptEntry,
-                       aggregate_for_baseline, audit_transcript, init_batch,
+                       aggregate_for_baseline, audit_transcript,
                        participant_step, recover, run_simulation)
 from .rng import substream
 
@@ -38,7 +38,7 @@ __all__ = [
     "TranscriptEntry", "absolute_error", "aggregate_for_baseline",
     "assign_coverage", "audit_transcript", "build_window", "comm_bound",
     "comm_bound_scalars", "compose_params", "generate_lowrank_field",
-    "gradients", "init_batch", "init_factors", "load_field_csv",
+    "gradients", "init_factors", "load_field_csv",
     "masked_loss", "mean_fill", "median_errors", "observations_to_jsonable",
     "observe", "participant_step", "records_to_csv", "recover", "run_simulation",
     "run_sweep", "sgd_step", "solve_centralized", "substream", "truncate",

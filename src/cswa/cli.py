@@ -1,9 +1,10 @@
 """Command-line entry point: ``generate``, ``run``, ``sweep``, ``audit``.
 
 Configuration is a single flat JSON document plus command-line overrides
-(flag > config file > default). All randomness flows from the one seed via
-named sub-streams, so every artifact embeds enough (its config echo) to be
-reproduced bit-for-bit.
+(flag > config file > default). Its run-parameter keys, their defaults and
+their types are the fields of :class:`cswa.model.Hyperparams`. All
+randomness flows from the one seed via named sub-streams, so every artifact
+embeds enough (its config echo) to be reproduced bit-for-bit.
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric divergence,
 4 audit failure.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .datagen import assign_coverage, generate_lowrank_field, load_field_csv, \
@@ -22,32 +23,9 @@ from .datagen import assign_coverage, generate_lowrank_field, load_field_csv, \
 from .errors import CswaError, NumericError, ParameterError, ParseError
 from .evaluation import SweepSpec, absolute_error, median_errors, \
     records_to_csv, run_sweep
-from .model import Field, Hyperparams, build_window
+from .model import Field, Hyperparams, build_window, check_type
 from .protocol import TranscriptEntry, audit_transcript, run_simulation
 from .rng import substream
-
-_PARAM_DEFAULTS = {
-    "num_participants": 10,
-    "batch_size": 10,
-    "max_subareas": 3,
-    "window": 20,
-    "latent": 2,
-    "step_size": 1e-3,
-    "reg_p": 1e-4,
-    "reg_q": 1e-4,
-    "grad_tol": 1e-4,
-    "max_iters": 5000,
-    "noise_sigma": 0.0,
-    "seed": 0,
-}
-
-_FLAG_DEFAULTS = {
-    "literal_update": False,
-    "exclude_self": True,
-    "require_convergence": False,
-    "missing_only_error": False,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -59,27 +37,18 @@ class RunConfig:
     end_cycle: int | None
     out_dir: Path
     unit: str
-    literal_update: bool
-    exclude_self: bool
-    require_convergence: bool
     missing_only_error: bool
     sweep: dict | None            # {"axis", "values", "seeds", "methods"}
 
     def echo(self) -> dict:
-        doc = dict(self.params.to_dict())
-        doc.update({
-            "synthetic": self.synthetic,
-            "field_csv": self.field_csv,
-            "end_cycle": self.end_cycle,
-            "out": str(self.out_dir),
-            "unit": self.unit,
-            "literal_update": self.literal_update,
-            "exclude_self": self.exclude_self,
-            "require_convergence": self.require_convergence,
-            "missing_only_error": self.missing_only_error,
-            "sweep": self.sweep,
-        })
-        return doc
+        return dict(self.params.to_dict(),
+                    synthetic=self.synthetic,
+                    field_csv=self.field_csv,
+                    end_cycle=self.end_cycle,
+                    out=str(self.out_dir),
+                    unit=self.unit,
+                    missing_only_error=self.missing_only_error,
+                    sweep=self.sweep)
 
 
 def _load_json(path: str) -> dict:
@@ -96,28 +65,26 @@ def _load_json(path: str) -> dict:
 
 
 def build_config(doc: dict, overrides: dict) -> RunConfig:
-    """Merge defaults, a config document, and CLI overrides (highest wins)."""
+    """Merge a config document and CLI overrides (highest wins); the
+    Hyperparams fields supply the run-parameter keys and defaults."""
     merged = dict(doc)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
 
-    known = set(_PARAM_DEFAULTS) | set(_FLAG_DEFAULTS) | {
-        "synthetic", "field_csv", "end_cycle", "out", "unit", "sweep"}
+    schema = fields(Hyperparams)
+    known = {f.name for f in schema} | {
+        "synthetic", "field_csv", "end_cycle", "out", "unit",
+        "missing_only_error", "sweep"}
     unknown = sorted(set(merged) - known)
     if unknown:
         raise ParameterError(f"unknown config keys: {unknown}")
-
-    param_values = {k: merged.get(k, v) for k, v in _PARAM_DEFAULTS.items()}
-    for int_key in ("num_participants", "batch_size", "max_subareas",
-                    "window", "latent", "max_iters", "seed"):
-        try:
-            param_values[int_key] = int(param_values[int_key])
-        except (TypeError, ValueError):
-            raise ParameterError(
-                f"config key {int_key} must be an integer, "
-                f"got {param_values[int_key]!r}") from None
-    params = Hyperparams(**param_values)
+    missing = [f.name for f in schema
+               if f.default is MISSING and f.name not in merged]
+    if missing:
+        raise ParameterError(f"missing config keys: {missing}")
+    params = Hyperparams(**{f.name: merged[f.name] for f in schema
+                            if f.name in merged})
 
     synthetic = merged.get("synthetic")
     field_csv = merged.get("field_csv")
@@ -130,15 +97,16 @@ def build_config(doc: dict, overrides: dict) -> RunConfig:
         if not isinstance(synthetic, dict) or set(synthetic) != required:
             raise ParameterError(
                 f"synthetic spec must have exactly the keys {sorted(required)}")
-        synthetic = {k: int(v) for k, v in synthetic.items()}
+        for key, value in synthetic.items():
+            check_type(f"synthetic.{key}", value, "int")
         # known dimensions: fail before any field is built
         params.check_against(synthetic["num_subareas"])
 
     end_cycle = merged.get("end_cycle")
     if end_cycle is not None:
-        end_cycle = int(end_cycle)
-
-    flags = {k: bool(merged.get(k, v)) for k, v in _FLAG_DEFAULTS.items()}
+        check_type("end_cycle", end_cycle, "int")
+    missing_only_error = merged.get("missing_only_error", False)
+    check_type("missing_only_error", missing_only_error, "bool")
     return RunConfig(
         params=params,
         synthetic=synthetic,
@@ -146,8 +114,8 @@ def build_config(doc: dict, overrides: dict) -> RunConfig:
         end_cycle=end_cycle,
         out_dir=Path(merged.get("out", ".")),
         unit=str(merged.get("unit", "")),
+        missing_only_error=missing_only_error,
         sweep=merged.get("sweep"),
-        **flags,
     )
 
 
@@ -199,10 +167,7 @@ def _pipeline(config: RunConfig):
 def cmd_run(config: RunConfig, audit: bool = False,
             transcript_jsonl: bool = False) -> int:
     field, window, schedule, all_obs = _pipeline(config)
-    result = run_simulation(all_obs, config.params,
-                            exclude_self=config.exclude_self,
-                            literal_update=config.literal_update,
-                            require_convergence=config.require_convergence)
+    result = run_simulation(all_obs, config.params)
     err = absolute_error(result.recovered, window)
 
     doc = result.to_jsonable()
@@ -250,10 +215,7 @@ def cmd_sweep(config: RunConfig, workers: int) -> int:
                      methods=tuple(section["methods"]))
     field = _build_field(config)
     records = run_sweep(spec, field, end_cycle=config.end_cycle,
-                        max_workers=workers,
-                        exclude_self=config.exclude_self,
-                        literal_update=config.literal_update,
-                        require_convergence=config.require_convergence)
+                        max_workers=workers)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = config.out_dir / "sweep.csv"

@@ -22,7 +22,7 @@ from .baselines import mean_fill, tsvd_impute
 from .datagen import assign_coverage, observe
 from .errors import CswaError, NumericError, ParameterError, ShapeError
 from .factorization import solve_centralized
-from .model import Field, Hyperparams, build_window
+from .model import Field, Hyperparams, build_window, check_type
 from .protocol import aggregate_for_baseline, run_simulation
 from .rng import substream
 
@@ -59,6 +59,8 @@ class SweepSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ParameterError(f"unknown methods {unknown}; choose from {METHODS}")
+        for seed in self.seeds:
+            check_type("sweep seeds", seed, "int")
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -134,8 +136,7 @@ def compose_params(base: Hyperparams, axis: str, value) -> Hyperparams:
 
 
 def _run_cell(field: Field, spec: SweepSpec, value, seed: int, method: str,
-              end_cycle: int | None, exclude_self: bool, literal_update: bool,
-              require_convergence: bool) -> SweepRecord:
+              end_cycle: int | None) -> SweepRecord:
     try:
         params = replace(compose_params(spec.base, spec.axis, value), seed=seed)
         last = field.num_cycles if end_cycle is None else end_cycle
@@ -155,9 +156,7 @@ def _run_cell(field: Field, spec: SweepSpec, value, seed: int, method: str,
     start = time.perf_counter()
     scalars = 0
     if method == "cswa":
-        result = run_simulation(all_obs, params, exclude_self=exclude_self,
-                                literal_update=literal_update,
-                                require_convergence=require_convergence)
+        result = run_simulation(all_obs, params)
         recovered = result.recovered
         iterations = sum(result.per_chain_iters)
         scalars = result.scalars_transferred()
@@ -184,9 +183,7 @@ def _run_cell(field: Field, spec: SweepSpec, value, seed: int, method: str,
 
 
 def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
-              max_workers: int = 1, exclude_self: bool = True,
-              literal_update: bool = False,
-              require_convergence: bool = False) -> list[SweepRecord]:
+              max_workers: int = 1) -> list[SweepRecord]:
     """Run every (axis value x seed x method) cell and return records in
     deterministic (value, seed, method) order.
 
@@ -202,8 +199,7 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
 
     def run(cell):
         value, seed, method = cell
-        return _run_cell(field, spec, value, seed, method, end_cycle,
-                         exclude_self, literal_update, require_convergence)
+        return _run_cell(field, spec, value, seed, method, end_cycle)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

@@ -7,7 +7,9 @@ so they can be shared across concurrently executing chains.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,14 +63,41 @@ class Field:
         return self.values.shape[1]
 
 
+def check_type(name: str, value, kind: str) -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is of
+    ``kind``: ``"int"`` (an integer, not a bool), ``"float"`` (a finite real
+    number, not a bool) or ``"bool"`` (a real bool, not a truthy value)."""
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind == "int":
+        ok = isinstance(value, (int, np.integer))
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not ok:
+        wanted = {"int": "an integer", "float": "a finite number",
+                  "bool": "true or false"}[kind]
+        raise ParameterError(f"{name} must be {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
-    """Run parameters. Defaults follow the package-wide conventions; the
-    first five have no sensible universal value and must be given.
+    """Run parameters and behaviour flags: everything a run depends on
+    besides the observations, and the schema of the CLI config. Defaults
+    follow the package-wide conventions; the first five have no sensible
+    universal value and must be given.
 
     ``grad_tol=0`` is allowed and means "never converge early" (every chain
     runs to the iteration cap), which is how worst-case communication is
     exercised.
+
+    Flags: ``exclude_self`` also bars a participant from forwarding a chain
+    to itself (the bare protocol bars only the previous sender);
+    ``literal_update`` flips the sign of the decentralized hop's update
+    (see :mod:`cswa.factorization`; the centralized solver ignores it);
+    ``require_convergence`` drops budget-capped chains from the recovery
+    average.
     """
 
     num_participants: int      # m, population size of the peer network
@@ -83,12 +112,17 @@ class Hyperparams:
     max_iters: int = 5000      # t_max, per-chain update budget
     noise_sigma: float = 0.0
     seed: int = 0
+    exclude_self: bool = True
+    literal_update: bool = False
+    require_convergence: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
         for name in ("num_participants", "batch_size", "max_subareas",
                      "window", "latent", "max_iters"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+            if v < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
         if self.batch_size > self.num_participants:
             raise ParameterError(
@@ -105,8 +139,6 @@ class Hyperparams:
         for name in ("reg_p", "reg_q", "grad_tol", "noise_sigma"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
 
     def check_against(self, num_subareas: int) -> None:
         """Validate the constraints that need the field's row count."""

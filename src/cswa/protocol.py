@@ -122,8 +122,8 @@ class RunResult:
     """Everything a full protocol run produces.
 
     ``recovered`` is exactly ``p_bar @ q_bar``. ``config`` echoes the
-    hyperparameters and behavior flags so the run can be reproduced
-    bit-for-bit from this object alone (plus the observations).
+    run's :class:`Hyperparams`, flags included, so the run can be
+    reproduced bit-for-bit from this object alone (plus the observations).
     """
 
     recovered: np.ndarray
@@ -163,48 +163,15 @@ def _factor_scalars(num_subareas: int, latent: int, window: int) -> int:
     return num_subareas * latent + latent * window
 
 
-def init_batch(params: Hyperparams, num_subareas: int, obs_scale: float,
-               rng: np.random.Generator,
-               transcript: list[TranscriptEntry] | None = None,
-               ) -> list[tuple[int, ChainMessage]]:
-    """Organizer-side batch initialization.
-
-    Draws N distinct starting participants uniformly without replacement
-    and pairs each with a fresh scaled Gaussian factor pair (iteration 0, no
-    previous participant). If a transcript list is given, the N
-    organizer-to-participant sends are appended to it.
-
-    ``obs_scale`` sets the initial factor magnitude (see
-    :func:`cswa.factorization.init_factors`); inside a simulation the
-    equivalent scale is computed locally by each starting participant so
-    the organizer never touches data.
-    """
-    if params.batch_size > params.num_participants:
-        raise ParameterError(
-            f"cannot draw {params.batch_size} distinct participants from "
-            f"{params.num_participants}")
-    starters = rng.choice(params.num_participants, size=params.batch_size,
-                          replace=False)
-    batch = []
-    payload = _factor_scalars(num_subareas, params.latent, params.window)
-    for chain_id, start in enumerate((int(j) + 1 for j in starters), start=1):
-        factors = init_factors(num_subareas, params.window, params.latent,
-                               obs_scale, rng)
-        batch.append((start, ChainMessage(factors, 0, None)))
-        if transcript is not None:
-            transcript.append(TranscriptEntry(chain_id, ORGANIZER, start,
-                                              PAYLOAD_FACTORS, payload))
-    return batch
-
-
-def _draw_next(rng: np.random.Generator, num_participants: int,
-               prev: int | None, current: int, exclude_self: bool) -> int:
+def _draw_next(rng: np.random.Generator, params: Hyperparams,
+               prev: int | None, current: int) -> int:
     """Uniform next-hop draw excluding the previous sender (and, by default,
     the current participant). When both exclusions would empty the candidate
     set (m=2 with exclude_self), only the previous sender is excluded; this
     degenerate fallback keeps tiny networks runnable."""
+    num_participants = params.num_participants
     excluded = {prev} if prev is not None else set()
-    if exclude_self:
+    if params.exclude_self:
         excluded = excluded | {current}
     candidates = [j for j in range(1, num_participants + 1) if j not in excluded]
     if not candidates:
@@ -215,16 +182,15 @@ def _draw_next(rng: np.random.Generator, num_participants: int,
 
 
 def participant_step(msg: ChainMessage, obs: LocalObservations,
-                     params: Hyperparams, rng: np.random.Generator, *,
-                     exclude_self: bool = True,
-                     literal_update: bool = False) -> Continue | Finished:
+                     params: Hyperparams,
+                     rng: np.random.Generator) -> Continue | Finished:
     """One participant's handling of an incoming chain message.
 
     Applies a single local update, then either forwards the chain to a
     next participant drawn uniformly from everyone except the sender (and
-    itself, unless ``exclude_self`` is off), or, when the perturbation
-    max(|g_p|_inf, |g_q|_inf) has dropped to grad_tol or the budget is
-    spent, finishes and addresses the factors to the organizer.
+    itself, unless ``params.exclude_self`` is off), or, when the
+    perturbation max(|g_p|_inf, |g_q|_inf) has dropped to grad_tol or the
+    budget is spent, finishes and addresses the factors to the organizer.
     """
     if msg.iteration >= params.max_iters:
         raise ParameterError(
@@ -233,16 +199,15 @@ def participant_step(msg: ChainMessage, obs: LocalObservations,
     try:
         new_factors, grads = sgd_step(obs, msg.factors, params.step_size,
                                       params.reg_p, params.reg_q,
-                                      literal_update=literal_update)
+                                      literal_update=params.literal_update)
     except NumericError as err:
         err.iteration = msg.iteration + 1
         raise
     iteration = msg.iteration + 1
     delta = grads.max_abs()
     if delta > params.grad_tol and iteration < params.max_iters:
-        next_participant = _draw_next(rng, params.num_participants,
-                                      msg.prev_participant,
-                                      obs.participant_id, exclude_self)
+        next_participant = _draw_next(rng, params, msg.prev_participant,
+                                      obs.participant_id)
         return Continue(next_participant,
                         ChainMessage(new_factors, iteration, obs.participant_id))
     return Finished(new_factors, iteration, converged=delta <= params.grad_tol)
@@ -262,9 +227,8 @@ def recover(finished: list[FactorPair]) -> tuple[np.ndarray, FactorPair]:
     return averaged.product(), averaged
 
 
-def run_simulation(all_obs: list[LocalObservations], params: Hyperparams, *,
-                   exclude_self: bool = True, literal_update: bool = False,
-                   require_convergence: bool = False) -> RunResult:
+def run_simulation(all_obs: list[LocalObservations],
+                   params: Hyperparams) -> RunResult:
     """Execute a full run: batch initialization, every chain to completion,
     and recovery, recording each hop in the transcript.
 
@@ -274,8 +238,9 @@ def run_simulation(all_obs: list[LocalObservations], params: Hyperparams, *,
     a pure function of (observations, params) regardless of how chains
     would be interleaved.
 
-    ``require_convergence`` drops chains that hit the iteration budget from
-    the recovery average (they still appear in iterations/transcript).
+    ``params.require_convergence`` drops chains that hit the iteration
+    budget from the recovery average (they still appear in
+    iterations/transcript).
     """
     if len(all_obs) != params.num_participants:
         raise ParameterError(
@@ -316,8 +281,7 @@ def run_simulation(all_obs: list[LocalObservations], params: Hyperparams, *,
         while True:
             try:
                 step = participant_step(msg, all_obs[current - 1], params,
-                                        chain_rng, exclude_self=exclude_self,
-                                        literal_update=literal_update)
+                                        chain_rng)
             except NumericError as err:
                 err.chain_id = chain_id
                 raise
@@ -334,16 +298,12 @@ def run_simulation(all_obs: list[LocalObservations], params: Hyperparams, *,
                 break
 
     kept = [f.factors for f in finishes
-            if f.converged or not require_convergence]
+            if f.converged or not params.require_convergence]
     if not kept:
         raise ParameterError(
             "require_convergence dropped every chain; raise max_iters or "
             "grad_tol")
     recovered, averaged = recover(kept)
-    config = dict(params.to_dict(),
-                  exclude_self=exclude_self,
-                  literal_update=literal_update,
-                  require_convergence=require_convergence)
     return RunResult(
         recovered=recovered,
         p_bar=averaged.p,
@@ -351,7 +311,7 @@ def run_simulation(all_obs: list[LocalObservations], params: Hyperparams, *,
         per_chain_iters=tuple(f.iterations for f in finishes),
         transcript=tuple(transcript),
         converged_chains=sum(1 for f in finishes if f.converged),
-        config=config,
+        config=params.to_dict(),
     )
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cswa.cli import main
 
 
@@ -198,6 +200,36 @@ def test_both_field_sources_rejected(tmp_path):
     doc["field_csv"] = "somewhere.csv"
     config = _write_config(tmp_path, doc)
     assert main(["run", "--config", config]) == 2
+
+
+_MALFORMED = {
+    "flag-string": ("exclude_self", {"exclude_self": "false"}),
+    "int-fraction": ("max_iters", {"max_iters": 2.7}),
+    "int-bool": ("num_participants", {"num_participants": True,
+                                      "batch_size": 1}),
+    "grad_tol-nan": ("grad_tol", {"grad_tol": float("nan")}),
+    "reg_p-nan": ("reg_p", {"reg_p": float("nan")}),
+    "step_size-inf": ("step_size", {"step_size": float("inf")}),
+    "float-word": ("step_size", {"step_size": "abc"}),
+    "float-string": ("noise_sigma", {"noise_sigma": "0.1"}),
+    "synthetic-fraction": ("synthetic.num_subareas", {"synthetic": {
+        "num_subareas": 8.9, "num_cycles": 30, "rank": 2}}),
+    "end_cycle-fraction": ("end_cycle", {"end_cycle": 9.5}),
+    "cli-flag-string": ("missing_only_error", {"missing_only_error": "yes"}),
+    "sweep-seed-fraction": ("seeds", {"sweep": {
+        "axis": "m", "values": [4], "seeds": [0.5], "methods": ["meanfill"]}}),
+    "missing-window": ("window", {"window": None}),
+}
+
+
+@pytest.mark.parametrize("key, edit", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_config_value_rejected(tmp_path, capsys, key, edit):
+    doc = _run_config(tmp_path, max_iters=5)
+    doc.update(edit)
+    doc = {k: v for k, v in doc.items() if v is not None}  # None drops a key
+    command = "sweep" if "sweep" in doc else "run"
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_malformed_config_json(tmp_path):

@@ -189,6 +189,17 @@ def test_init_factors_rank_bounds():
         init_factors(3, 6, 4, scale=1.0, rng=substream(0, "init"))
 
 
+def test_init_factors_product_magnitude_tracks_scale():
+    # E[(PQ)_ij] = scale * (E|N(0,1)|)^2 = scale * 2/pi
+    rng = substream(123, "init")
+    entries = np.concatenate([
+        init_factors(8, 6, 4, scale=4.0, rng=rng).product().ravel()
+        for _ in range(250)])
+    assert entries.size >= 10_000
+    expected = 4.0 * (2.0 / np.pi)
+    assert abs(entries.mean() - expected) / expected < 0.10
+
+
 # --- solve_centralized ---
 
 def _full_observations(field):

@@ -73,6 +73,18 @@ def test_hyperparams_validation():
     with pytest.raises(ParameterError):
         Hyperparams(num_participants=3, batch_size=2, max_subareas=2,
                     window=6, latent=2, step_size=0.0)
+    base = dict(num_participants=3, batch_size=2, max_subareas=2,
+                window=6, latent=2)
+    malformed = [("num_participants", True), ("max_iters", 2.7),
+                 ("seed", 1.0), ("window", "30")]
+    for name in ("step_size", "reg_p", "reg_q", "grad_tol", "noise_sigma"):
+        malformed += [(name, float("nan")), (name, float("inf")),
+                      (name, "0.1"), (name, True)]
+    for name in ("exclude_self", "literal_update", "require_convergence"):
+        malformed += [(name, "false"), (name, 0), (name, None)]
+    for name, value in malformed:
+        with pytest.raises(ParameterError, match=name):
+            Hyperparams(**dict(base, **{name: value}))
 
 
 def test_hyperparams_grad_tol_zero_allowed():

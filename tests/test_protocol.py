@@ -8,7 +8,7 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   Hyperparams, LocalObservations, NumericError,
                   ParameterError, TranscriptEntry, aggregate_for_baseline,
                   assign_coverage, audit_transcript, generate_lowrank_field,
-                  init_batch, observe, participant_step, recover,
+                  observe, participant_step, recover,
                   run_simulation, substream)
 
 from conftest import random_factors
@@ -28,45 +28,6 @@ def _make_obs(params, num_subareas=8, field_seed=0):
                                substream(params.seed, "coverage"))
     return observe(field.values, schedule, params.noise_sigma,
                    substream(params.seed, "observe")), field
-
-
-# --- init_batch ---
-
-def test_init_batch_full_population():
-    params = _params(num_participants=6, batch_size=6)
-    batch = init_batch(params, 8, obs_scale=1.0, rng=substream(0, "organizer"))
-    starts = [start for start, _ in batch]
-    assert sorted(starts) == [1, 2, 3, 4, 5, 6]
-
-
-def test_init_batch_messages_start_fresh():
-    params = _params()
-    transcript = []
-    batch = init_batch(params, 8, obs_scale=2.0,
-                       rng=substream(1, "organizer"), transcript=transcript)
-    assert len(batch) == params.batch_size
-    payload = 8 * params.latent + params.latent * params.window
-    for (start, msg), entry in zip(batch, transcript):
-        assert msg.iteration == 0
-        assert msg.prev_participant is None
-        assert (msg.factors.p >= 0).all() and (msg.factors.q >= 0).all()
-        assert entry.sender == ORGANIZER and entry.receiver == start
-        assert entry.scalar_count == payload
-
-
-def test_init_batch_product_magnitude_tracks_scale():
-    # E[(PQ)_ij] = obs_scale * (E|N(0,1)|)^2 = obs_scale * 2/pi
-    params = Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
-                         window=6, latent=4)
-    rng = substream(123, "organizer")
-    entries = []
-    for _ in range(250):
-        batch = init_batch(params, 8, obs_scale=4.0, rng=rng)
-        entries.append(batch[0][1].factors.product().ravel())
-    entries = np.concatenate(entries)
-    assert entries.size >= 10_000
-    expected = 4.0 * (2.0 / np.pi)
-    assert abs(entries.mean() - expected) / expected < 0.10
 
 
 # --- participant_step ---
@@ -178,6 +139,16 @@ def test_run_is_deterministic():
     assert np.array_equal(a.recovered, b.recovered)
 
 
+def test_init_batch_full_population():
+    # batch_size == num_participants: the organizer's initial batch of
+    # sends reaches every participant exactly once
+    params = _params(num_participants=6, batch_size=6, max_iters=5)
+    obs, _ = _make_obs(params)
+    result = run_simulation(obs, params)
+    starters = [e.receiver for e in result.transcript if e.sender == ORGANIZER]
+    assert sorted(starters) == [1, 2, 3, 4, 5, 6]
+
+
 def test_run_transcript_chain_structure():
     params = _params(grad_tol=0.0, max_iters=15)
     obs, _ = _make_obs(params)
@@ -223,19 +194,19 @@ def test_run_validates_observation_order():
 
 def test_run_reports_divergence_with_chain_and_iteration():
     params = _params(step_size=50.0, grad_tol=0.0, max_iters=20000,
-                     noise_sigma=0.0)
+                     noise_sigma=0.0, literal_update=True)
     obs, _ = _make_obs(params)
     with pytest.raises(NumericError) as excinfo:
-        run_simulation(obs, params, literal_update=True)
+        run_simulation(obs, params)
     assert excinfo.value.chain_id is not None
     assert excinfo.value.iteration is not None
 
 
 def test_run_require_convergence_drops_capped_chains():
-    params = _params(grad_tol=0.0, max_iters=10)
+    params = _params(grad_tol=0.0, max_iters=10, require_convergence=True)
     obs, _ = _make_obs(params)
     with pytest.raises(ParameterError):
-        run_simulation(obs, params, require_convergence=True)
+        run_simulation(obs, params)
 
 
 def test_run_result_json_has_no_observation_fields():
