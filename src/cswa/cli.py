@@ -102,18 +102,19 @@ def build_config(doc: dict, overrides: dict) -> RunConfig:
         # known dimensions: fail before any field is built
         params.check_against(synthetic["num_subareas"])
 
-    end_cycle = merged.get("end_cycle")
-    if end_cycle is not None:
-        check_type("end_cycle", end_cycle, "int")
+    for key, kind in (("end_cycle", "int"), ("field_csv", "str"),
+                      ("out", "str"), ("unit", "str")):
+        if merged.get(key) is not None:
+            check_type(key, merged[key], kind)
     missing_only_error = merged.get("missing_only_error", False)
     check_type("missing_only_error", missing_only_error, "bool")
     return RunConfig(
         params=params,
         synthetic=synthetic,
         field_csv=field_csv,
-        end_cycle=end_cycle,
-        out_dir=Path(merged.get("out", ".")),
-        unit=str(merged.get("unit", "")),
+        end_cycle=merged.get("end_cycle"),
+        out_dir=Path(merged.get("out") or "."),
+        unit=merged.get("unit") or "",
         missing_only_error=missing_only_error,
         sweep=merged.get("sweep"),
     )
@@ -209,6 +210,8 @@ def cmd_sweep(config: RunConfig, workers: int) -> int:
     required = {"axis", "values", "seeds", "methods"}
     if not isinstance(section, dict) or not required <= set(section):
         raise ParameterError(f"sweep section must define {sorted(required)}")
+    for key in ("values", "seeds", "methods"):
+        check_type(f"sweep.{key}", section[key], "list")
     spec = SweepSpec(base=config.params, axis=section["axis"],
                      values=tuple(section["values"]),
                      seeds=tuple(section["seeds"]),

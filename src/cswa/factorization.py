@@ -23,6 +23,7 @@ default.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +45,65 @@ class GradPair:
         return float(max(np.abs(self.g_p).max(), np.abs(self.g_q).max()))
 
 
-def _masked_residual(obs: LocalObservations, factors: FactorPair) -> np.ndarray:
-    """F o (R - PQ), with dimension agreement checked."""
+_NON_FINITE = "factor update produced non-finite entries; reduce step_size"
+
+
+def _check_shapes(obs: LocalObservations, factors: FactorPair) -> None:
     if factors.p.shape[0] != obs.num_subareas or factors.q.shape[1] != obs.window:
         raise ShapeError(
             f"factors ({factors.p.shape} x {factors.q.shape}) do not match "
             f"observations ({obs.num_subareas}x{obs.window})")
-    return obs.f_mask * (obs.r_local - factors.p @ factors.q)
+
+
+def _residuals(p: np.ndarray, q: np.ndarray,
+               observations: Sequence[LocalObservations]) -> np.ndarray:
+    """F o (R - PQ) for a stack of pairs ``p`` (n, S, L), ``q`` (n, L, W),
+    pair i against ``observations[i]``; filled in place in one (n, S, W)
+    buffer, so the observations are never stacked."""
+    residual = p @ q
+    for res, obs in zip(residual, observations):
+        np.subtract(obs.r_local, res, out=res)
+        np.multiply(obs.f_mask, res, out=res)
+    return residual
+
+
+def _stacked_gradients(p: np.ndarray, q: np.ndarray,
+                       observations: Sequence[LocalObservations],
+                       reg_p: float, reg_q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g_p, g_q) of every pair in a stack (see module docstring)."""
+    residual = _residuals(p, q, observations)
+    return (residual @ q.swapaxes(1, 2) - reg_p * p,
+            p.swapaxes(1, 2) @ residual - reg_q * q)
+
+
+def _hop(p: np.ndarray, q: np.ndarray,
+         observations: Sequence[LocalObservations],
+         reg_p: float, reg_q: float, step: float):
+    """The hop kernel: one masked update of every pair in a stack, pair i
+    on ``observations[i]``, with the signed step ``step``.
+
+    Returns (new p, new q, g_p, g_q, finite, delta): ``finite[i]`` says
+    whether pair i's new factors are all finite and ``delta[i]`` is its
+    max(|g_p|_inf, |g_q|_inf). Each pair goes through the same float
+    operations in the same order as it would alone, so the stack size
+    never changes a result.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported in finite
+        g_p, g_q = _stacked_gradients(p, q, observations, reg_p, reg_q)
+        new_p = np.maximum(p + step * g_p, 0.0)
+        new_q = np.maximum(q + step * g_q, 0.0)
+        finite = (np.isfinite(new_p).all(axis=(1, 2))
+                  & np.isfinite(new_q).all(axis=(1, 2)))
+        delta = np.maximum(np.abs(g_p).max(axis=(1, 2)),
+                           np.abs(g_q).max(axis=(1, 2)))
+    return new_p, new_q, g_p, g_q, finite, delta
 
 
 def masked_loss(obs: LocalObservations, factors: FactorPair,
                 reg_p: float, reg_q: float) -> float:
     """Single-participant objective value; always non-negative."""
-    residual = _masked_residual(obs, factors)
+    _check_shapes(obs, factors)
+    residual = _residuals(factors.p[None], factors.q[None], (obs,))[0]
     return float(
         (residual ** 2).sum()
         + reg_p * (factors.p ** 2).sum()
@@ -68,10 +115,10 @@ def gradients(obs: LocalObservations, factors: FactorPair,
               reg_p: float, reg_q: float) -> GradPair:
     """Evaluate (g_p, g_q); equals -1/2 the analytic gradient of
     :func:`masked_loss` (see module docstring)."""
-    residual = _masked_residual(obs, factors)
-    g_p = residual @ factors.q.T - reg_p * factors.p
-    g_q = factors.p.T @ residual - reg_q * factors.q
-    return GradPair(g_p, g_q)
+    _check_shapes(obs, factors)
+    g_p, g_q = _stacked_gradients(factors.p[None], factors.q[None], (obs,),
+                                  reg_p, reg_q)
+    return GradPair(g_p[0], g_q[0])
 
 
 def truncate(factors: FactorPair) -> FactorPair:
@@ -93,15 +140,13 @@ def sgd_step(obs: LocalObservations, factors: FactorPair, step_size: float,
     """
     if not step_size > 0:
         raise ParameterError(f"step_size must be positive, got {step_size!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-        grads = gradients(obs, factors, reg_p, reg_q)
-        sign = -1.0 if literal_update else 1.0
-        new_p = np.maximum(factors.p + sign * step_size * grads.g_p, 0.0)
-        new_q = np.maximum(factors.q + sign * step_size * grads.g_q, 0.0)
-    if not (np.isfinite(new_p).all() and np.isfinite(new_q).all()):
-        raise NumericError(
-            "factor update produced non-finite entries; reduce step_size")
-    return FactorPair(new_p, new_q), grads
+    _check_shapes(obs, factors)
+    sign = -1.0 if literal_update else 1.0
+    p, q, g_p, g_q, finite, _ = _hop(factors.p[None], factors.q[None], (obs,),
+                                     reg_p, reg_q, sign * step_size)
+    if not finite[0]:
+        raise NumericError(_NON_FINITE)
+    return FactorPair(p[0], q[0]), GradPair(g_p[0], g_q[0])
 
 
 def init_factors(num_subareas: int, window: int, latent: int, scale: float,
@@ -127,7 +172,7 @@ def solve_centralized(aggregated: LocalObservations, params: Hyperparams,
                       rng: np.random.Generator) -> tuple[FactorPair, int]:
     """Full-batch masked NMF on organizer-aggregated observations.
 
-    Runs :func:`sgd_step` from a Gaussian-initialized pair until
+    Runs the :func:`sgd_step` update from a Gaussian-initialized pair until
     max(|g_p|_inf, |g_q|_inf) <= grad_tol or the iteration budget is spent;
     returns the final factors and the iterations used. This is the
     centralized counterpart the decentralized protocol is measured against.
@@ -141,17 +186,16 @@ def solve_centralized(aggregated: LocalObservations, params: Hyperparams,
     # quarter of the data scale: starting below the data magnitude avoids
     # long stalls near rank-1 saddle points on full-batch instances
     scale = (mean if mean > 0 else 1.0) / 4.0
-    factors = init_factors(aggregated.num_subareas, params.window,
-                           params.latent, scale, rng)
+    start = init_factors(aggregated.num_subareas, params.window,
+                         params.latent, scale, rng)
+    p, q = start.p[None], start.q[None]
     iterations = 0
     for i in range(1, params.max_iters + 1):
-        try:
-            factors, grads = sgd_step(aggregated, factors, params.step_size,
-                                      params.reg_p, params.reg_q)
-        except NumericError as err:
-            err.iteration = i
-            raise
+        p, q, _, _, finite, delta = _hop(p, q, (aggregated,), params.reg_p,
+                                         params.reg_q, params.step_size)
+        if not finite[0]:
+            raise NumericError(_NON_FINITE, iteration=i)
         iterations = i
-        if grads.max_abs() <= params.grad_tol:
+        if delta[0] <= params.grad_tol:
             break
-    return factors, iterations
+    return FactorPair(p[0], q[0]), iterations

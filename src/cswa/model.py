@@ -66,8 +66,11 @@ class Field:
 def check_type(name: str, value, kind: str) -> None:
     """Raise :class:`ParameterError` naming ``name`` unless ``value`` is of
     ``kind``: ``"int"`` (an integer, not a bool), ``"float"`` (a finite real
-    number, not a bool) or ``"bool"`` (a real bool, not a truthy value)."""
-    if kind == "bool":
+    number, not a bool), ``"bool"`` (a real bool, not a truthy value),
+    ``"str"`` or ``"list"``."""
+    if kind in ("str", "list"):
+        ok = isinstance(value, {"str": str, "list": list}[kind])
+    elif kind == "bool":
         ok = isinstance(value, bool)
     elif isinstance(value, bool):
         ok = False
@@ -77,7 +80,8 @@ def check_type(name: str, value, kind: str) -> None:
         ok = isinstance(value, numbers.Real) and math.isfinite(value)
     if not ok:
         wanted = {"int": "an integer", "float": "a finite number",
-                  "bool": "true or false"}[kind]
+                  "bool": "true or false", "str": "a string",
+                  "list": "a list"}[kind]
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
 
 

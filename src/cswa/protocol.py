@@ -7,10 +7,17 @@ a chain returns to the organizer only when it converges or exhausts its
 iteration budget. The organizer averages the returned pairs and multiplies
 them to recover the field window.
 
-Chains are logically parallel but simulated sequentially: participants are
-stateless with respect to chains (factors live in the message, observations
-are read-only), and each chain draws from its own stream derived from
-(seed, chain_id), so any interleaving yields the identical result.
+Chains are logically parallel, and are simulated in blocks of consecutive
+chain ids: every live chain of a block takes its next hop in one stacked
+update, and a block runs to completion before the next one starts. The
+block holds as many chains as fit their (S, W) residuals in 512 KiB, at
+least one and at most N. Participants are stateless with respect to
+chains (factors live in the message, observations are read-only), each
+chain draws from its own stream derived from (seed, chain_id), and each
+chain's arithmetic is the same in any block, so any interleaving yields
+the identical result. A diverging run reports the lowest diverging chain
+id with that chain's own iteration, which is what running the chains one
+at a time in id order would report.
 
 Every transfer is recorded as a transcript entry. The transcript is the
 organizer-visible data flow, and :func:`audit_transcript` checks it against
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .factorization import init_factors, sgd_step
+from .factorization import _NON_FINITE, _hop, init_factors, sgd_step
 from .model import FactorPair, Hyperparams, LocalObservations
 from .rng import substream
 
@@ -35,6 +42,11 @@ ORGANIZER = "organizer"
 
 PAYLOAD_FACTORS = "factors-only"
 PAYLOAD_FINAL = "final-factors"
+
+# Chains are stepped in blocks whose (S, W) residuals fill about this many
+# bytes: small enough to stay in cache, large enough to share each numpy
+# call among several chains.
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -168,17 +180,22 @@ def _draw_next(rng: np.random.Generator, params: Hyperparams,
     """Uniform next-hop draw excluding the previous sender (and, by default,
     the current participant). When both exclusions would empty the candidate
     set (m=2 with exclude_self), only the previous sender is excluded; this
-    degenerate fallback keeps tiny networks runnable."""
+    degenerate fallback keeps tiny networks runnable.
+
+    O(1): one ``rng.integers(0, k)`` over the k candidates, shifted past
+    the sorted exclusions to the chosen participant id."""
     num_participants = params.num_participants
-    excluded = {prev} if prev is not None else set()
-    if params.exclude_self:
-        excluded = excluded | {current}
-    candidates = [j for j in range(1, num_participants + 1) if j not in excluded]
-    if not candidates:
-        candidates = [j for j in range(1, num_participants + 1) if j != prev]
-    if not candidates:  # m == 1 and prev is the lone participant
-        candidates = [current]
-    return int(candidates[rng.integers(0, len(candidates))])
+    excluded = {prev, current} if params.exclude_self else {prev}
+    excluded.discard(None)
+    if len(excluded) == num_participants:
+        excluded = {prev} - {None}
+    if len(excluded) == num_participants:  # m == 1: the chain stays put
+        excluded = set()
+    pick = int(rng.integers(0, num_participants - len(excluded))) + 1
+    for skipped in sorted(excluded):
+        if pick >= skipped:
+            pick += 1
+    return pick
 
 
 def participant_step(msg: ChainMessage, obs: LocalObservations,
@@ -227,6 +244,63 @@ def recover(finished: list[FactorPair]) -> tuple[np.ndarray, FactorPair]:
     return averaged.product(), averaged
 
 
+def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
+               first_id: int, starts: list[int]) -> list[tuple[Finished, list[int]]]:
+    """Run chains ``first_id, first_id + 1, ...`` from participants
+    ``starts`` to completion, stepping every live chain of the block in one
+    :func:`_hop` call per round (all live chains share the round's
+    iteration). Returns each chain's :class:`Finished` and route (the
+    participants it visited, in order).
+
+    A chain whose update is not finite retires; once the block is done, the
+    lowest diverged chain id is reported with its own iteration, which is
+    what running the chains one at a time in id order reports.
+    """
+    num_subareas, window = all_obs[0].num_subareas, params.window
+    rngs, ps, qs = [], [], []
+    for chain_id, start in enumerate(starts, start=first_id):
+        chain_rng = substream(params.seed, "chain", chain_id)
+        local_mean = all_obs[start - 1].observed_mean()
+        scale = local_mean if local_mean > 0 else 1.0
+        factors = init_factors(num_subareas, window, params.latent, scale,
+                               chain_rng)
+        rngs.append(chain_rng)
+        ps.append(factors.p)
+        qs.append(factors.q)
+    p, q = np.stack(ps), np.stack(qs)
+    step = (-1.0 if params.literal_update else 1.0) * params.step_size
+    routes = [[start] for start in starts]
+    finished: list[Finished | None] = [None] * len(starts)
+    diverged: list[tuple[int, int]] = []
+    live = list(range(len(starts)))   # block positions of the live chains
+    iteration = 0
+    while live:
+        iteration += 1
+        p, q, _, _, finite, delta = _hop(
+            p, q, [all_obs[routes[c][-1] - 1] for c in live],
+            params.reg_p, params.reg_q, step)
+        keep = []
+        for i, (c, ok, d) in enumerate(zip(live, finite.tolist(),
+                                          delta.tolist())):
+            if not ok:
+                diverged.append((first_id + c, iteration))
+            elif d > params.grad_tol and iteration < params.max_iters:
+                route = routes[c]
+                sender = route[-2] if len(route) > 1 else None
+                route.append(_draw_next(rngs[c], params, sender, route[-1]))
+                keep.append(i)
+            else:
+                finished[c] = Finished(FactorPair(p[i], q[i]), iteration,
+                                       converged=d <= params.grad_tol)
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            p, q = p[keep], q[keep]
+    if diverged:
+        chain_id, at = min(diverged)
+        raise NumericError(_NON_FINITE, iteration=at, chain_id=chain_id)
+    return list(zip(finished, routes))
+
+
 def run_simulation(all_obs: list[LocalObservations],
                    params: Hyperparams) -> RunResult:
     """Execute a full run: batch initialization, every chain to completion,
@@ -266,36 +340,20 @@ def run_simulation(all_obs: list[LocalObservations],
                 organizer_rng.choice(params.num_participants,
                                      size=params.batch_size, replace=False)]
 
+    size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8),
+                      len(starters)))
     transcript: list[TranscriptEntry] = []
     finishes: list[Finished] = []
-    for chain_id, start in enumerate(starters, start=1):
-        chain_rng = substream(params.seed, "chain", chain_id)
-        local_mean = all_obs[start - 1].observed_mean()
-        scale = local_mean if local_mean > 0 else 1.0
-        factors = init_factors(num_subareas, params.window, params.latent,
-                               scale, chain_rng)
-        msg = ChainMessage(factors, 0, None)
-        transcript.append(TranscriptEntry(chain_id, ORGANIZER, start,
-                                          PAYLOAD_FACTORS, payload))
-        current = start
-        while True:
-            try:
-                step = participant_step(msg, all_obs[current - 1], params,
-                                        chain_rng)
-            except NumericError as err:
-                err.chain_id = chain_id
-                raise
-            if isinstance(step, Continue):
-                transcript.append(TranscriptEntry(chain_id, current,
-                                                  step.next_participant,
-                                                  PAYLOAD_FACTORS, payload))
-                current = step.next_participant
-                msg = step.message
-            else:
-                transcript.append(TranscriptEntry(chain_id, current, ORGANIZER,
-                                                  PAYLOAD_FINAL, payload))
-                finishes.append(step)
-                break
+    for first in range(0, len(starters), size):
+        block = _run_block(all_obs, params, first + 1,
+                           starters[first:first + size])
+        for chain_id, (finished, route) in enumerate(block, start=first + 1):
+            transcript.extend(TranscriptEntry(chain_id, a, b, PAYLOAD_FACTORS,
+                                              payload)
+                              for a, b in zip([ORGANIZER] + route, route))
+            transcript.append(TranscriptEntry(chain_id, route[-1], ORGANIZER,
+                                              PAYLOAD_FINAL, payload))
+            finishes.append(finished)
 
     kept = [f.factors for f in finishes
             if f.converged or not params.require_convergence]

@@ -219,6 +219,15 @@ _MALFORMED = {
     "sweep-seed-fraction": ("seeds", {"sweep": {
         "axis": "m", "values": [4], "seeds": [0.5], "methods": ["meanfill"]}}),
     "missing-window": ("window", {"window": None}),
+    "sweep-seeds-scalar": ("sweep.seeds", {"sweep": {
+        "axis": "m", "values": [4], "seeds": 3, "methods": ["meanfill"]}}),
+    "sweep-values-string": ("sweep.values", {"sweep": {
+        "axis": "m", "values": "48", "seeds": [0], "methods": ["meanfill"]}}),
+    "sweep-methods-string": ("sweep.methods", {"sweep": {
+        "axis": "m", "values": [4], "seeds": [0], "methods": "meanfill"}}),
+    "field_csv-int": ("field_csv", {"synthetic": None, "field_csv": 5}),
+    "out-int": ("out", {"out": 5}),
+    "unit-int": ("unit", {"unit": 5}),
 }
 
 
@@ -230,6 +239,14 @@ def test_malformed_config_value_rejected(tmp_path, capsys, key, edit):
     command = "sweep" if "sweep" in doc else "run"
     assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_null_optional_keys_take_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = _run_config(tmp_path, max_iters=5, out=None, unit=None,
+                      end_cycle=None)
+    assert main(["run", "--config", _write_config(tmp_path, doc)]) == 0
+    assert (tmp_path / "run_result.json").is_file()
 
 
 def test_malformed_config_json(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   assign_coverage, audit_transcript, generate_lowrank_field,
                   observe, participant_step, recover,
                   run_simulation, substream)
+from cswa.protocol import _draw_next
 
 from conftest import random_factors
 
@@ -78,6 +80,34 @@ def test_step_never_returns_to_sender():
         assert result.next_participant != current
         current = result.next_participant
         msg = result.message
+
+
+def _draw_by_candidate_list(rng, num_participants, exclude_self, prev, current):
+    # the next-hop rule spelled out: list the candidates, draw an index
+    excluded = {prev} if prev is not None else set()
+    if exclude_self:
+        excluded |= {current}
+    everyone = range(1, num_participants + 1)
+    candidates = [j for j in everyone if j not in excluded]
+    if not candidates:
+        candidates = [j for j in everyone if j != prev]
+    if not candidates:
+        candidates = [current]
+    return candidates[rng.integers(0, len(candidates))]
+
+
+@pytest.mark.parametrize("exclude_self", [True, False])
+@pytest.mark.parametrize("num_participants", range(1, 7))
+def test_draw_next_matches_candidate_list(num_participants, exclude_self):
+    params = _params(num_participants=num_participants, batch_size=1,
+                     exclude_self=exclude_self)
+    for prev in [None, *range(1, num_participants + 1)]:
+        for current in range(1, num_participants + 1):
+            fast, slow = substream(1, "draw"), substream(1, "draw")
+            for _ in range(20):
+                assert (_draw_next(fast, params, prev, current)
+                        == _draw_by_candidate_list(slow, num_participants,
+                                                   exclude_self, prev, current))
 
 
 def test_step_rejects_exhausted_message():
@@ -198,8 +228,30 @@ def test_run_reports_divergence_with_chain_and_iteration():
     obs, _ = _make_obs(params)
     with pytest.raises(NumericError) as excinfo:
         run_simulation(obs, params)
-    assert excinfo.value.chain_id is not None
-    assert excinfo.value.iteration is not None
+    assert (excinfo.value.chain_id, excinfo.value.iteration) == (1, 9)
+
+
+# (seed, step_size, max_iters) -> the expected (chain_id, iteration). Run
+# one at a time, the three chains diverge at iterations (18, 14, 15) in the
+# first case and (never, 11, 10) in the second: a run reports the lowest
+# diverging chain id with its own iteration, even when a higher id in the
+# same block diverges first.
+_DIVERGENCE_ORDER = {
+    "lowest-id-diverges-last": ((6, 5.0, 2000), (1, 18)),
+    "first-chain-survives": ((11, 3.0, 300), (2, 11)),
+}
+
+
+@pytest.mark.parametrize("setting, expected", _DIVERGENCE_ORDER.values(),
+                         ids=_DIVERGENCE_ORDER)
+def test_run_divergence_reports_lowest_chain_id(setting, expected):
+    seed, step_size, max_iters = setting
+    params = _params(step_size=step_size, grad_tol=0.0, max_iters=max_iters,
+                     literal_update=True, seed=seed)
+    obs, _ = _make_obs(params)
+    with pytest.raises(NumericError) as excinfo:
+        run_simulation(obs, params)
+    assert (excinfo.value.chain_id, excinfo.value.iteration) == expected
 
 
 def test_run_require_convergence_drops_capped_chains():
@@ -207,6 +259,66 @@ def test_run_require_convergence_drops_capped_chains():
     obs, _ = _make_obs(params)
     with pytest.raises(ParameterError):
         run_simulation(obs, params)
+
+
+# SHA-256 of RunResult.to_json() for fixed inputs. Together they cover the
+# README point, rank 1, the m=2 next-hop fallback, self-sends, chains
+# finishing at different iterations, require_convergence dropping some
+# chains, and windows large enough that chains are stepped in blocks of
+# several (100x60, N=12) or one at a time (300x250).
+_README_POINT = dict(num_participants=10, batch_size=10, max_subareas=3,
+                     window=30, latent=2, noise_sigma=0.01, max_iters=2000,
+                     seed=0)
+_GOLDEN_RUNS = {
+    "readme-point": (
+        (20, 30, 2), _README_POINT,
+        "780bfe4c174d2ac79689c865a4ec57066f4751fe0ff2f105beab0f4d600897ce"),
+    "latent-1": (
+        (20, 30, 2), dict(_README_POINT, latent=1, max_iters=150, seed=1),
+        "dbefd991e7d15ded521a4f08d679197acef4f7e3b13a75b83aa6311a44b221a7"),
+    "two-participant-fallback": (
+        (8, 5, 2), dict(num_participants=2, batch_size=2, max_subareas=2,
+                        window=5, latent=2, max_iters=60, grad_tol=0.0,
+                        seed=2),
+        "777e5aac9a2bd32ef4d4ce1bf497d4b51ee73d11e5faf711342ce104de4ece94"),
+    "self-sends-allowed": (
+        (8, 5, 2), dict(num_participants=4, batch_size=4, max_subareas=2,
+                        window=5, latent=2, max_iters=60, grad_tol=0.0,
+                        exclude_self=False, seed=3),
+        "7583000b1dfaaaff767e5067eaee4b496d9e6187a70cd23441b276b2621a916e"),
+    "uneven-convergence": (
+        (20, 30, 2), dict(_README_POINT, grad_tol=0.8, max_iters=400, seed=4),
+        "f5de6dbff626d7978aa4b8f915c5aef917a1164294aef0abee55351678d78b2c"),
+    "require-convergence-drops": (
+        (20, 30, 2), dict(_README_POINT, grad_tol=0.8, max_iters=400,
+                          require_convergence=True, seed=5),
+        "e4b5b1f4222e3ad7a103ee1fc04da11b4ae924f246b3499d8db9ee55a3727879"),
+    "block-between-1-and-n": (
+        (100, 60, 4), dict(num_participants=12, batch_size=12,
+                           max_subareas=10, window=60, latent=4,
+                           noise_sigma=0.01, max_iters=25, grad_tol=0.0,
+                           seed=6),
+        "78911f4a1abb1b89ec7f6974c89ccef62f3a16b99931eb630900ae045a0dc597"),
+    "block-of-one": (
+        (300, 250, 3), dict(num_participants=4, batch_size=3,
+                            max_subareas=30, window=250, latent=3,
+                            noise_sigma=0.01, max_iters=6, grad_tol=0.0,
+                            seed=7),
+        "cb1fa251cad1affcfb7cb89cd59b4f77a24a9f48e78e0ee931dccb30d8db3c4b"),
+}
+
+
+@pytest.mark.parametrize("shape, settings, digest", _GOLDEN_RUNS.values(),
+                         ids=_GOLDEN_RUNS)
+def test_run_matches_golden_digest(shape, settings, digest):
+    rows, cols, rank = shape
+    params = Hyperparams(**settings)
+    field = generate_lowrank_field(rows, cols, rank, seed=params.seed)
+    schedule = assign_coverage(params, rows, substream(params.seed, "coverage"))
+    obs = observe(field.values, schedule, params.noise_sigma,
+                  substream(params.seed, "observe"))
+    result = run_simulation(obs, params)
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
 
 
 def test_run_result_json_has_no_observation_fields():
