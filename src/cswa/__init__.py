@@ -10,7 +10,7 @@ Centralized baselines and an experiment sweep harness are included.
 from .baselines import ImputeResult, mean_fill, tsvd_impute
 from .datagen import (CoverageSchedule, assign_coverage,
                       generate_lowrank_field, load_field_csv, observe,
-                      observations_to_jsonable, write_field_csv)
+                      write_field_csv)
 from .errors import (CswaError, NumericError, ParameterError, ParseError,
                      ShapeError)
 from .evaluation import (AXES, METHODS, SweepRecord, SweepSpec,
@@ -39,8 +39,7 @@ __all__ = [
     "assign_coverage", "audit_transcript", "build_window", "comm_bound",
     "comm_bound_scalars", "compose_params", "generate_lowrank_field",
     "gradients", "init_factors", "load_field_csv",
-    "masked_loss", "mean_fill", "median_errors", "observations_to_jsonable",
-    "observe", "participant_step", "records_to_csv", "recover", "run_simulation",
+    "masked_loss", "mean_fill", "median_errors", "observe", "participant_step", "records_to_csv", "recover", "run_simulation",
     "run_sweep", "sgd_step", "solve_centralized", "substream", "truncate",
     "tsvd_impute", "write_field_csv",
 ]

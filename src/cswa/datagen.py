@@ -215,8 +215,3 @@ def write_field_csv(field: Field, path) -> None:
         writer.writerow(["subarea"] + [str(t) for t in range(1, field.num_cycles + 1)])
         for a in range(field.num_subareas):
             writer.writerow([str(a + 1)] + [repr(float(v)) for v in field.values[a]])
-
-
-def observations_to_jsonable(observations: list[LocalObservations]) -> list[dict]:
-    """JSON form of a full observation set, for reproducibility audits."""
-    return [obs.to_jsonable() for obs in observations]

@@ -1,10 +1,10 @@
 """Error metric, communication accounting, and the experiment sweep harness.
 
 A sweep varies one of the four performance factors (participants m,
-coverage cap s, window w, latent size l) over a list of values, re-running
-the chosen methods for each (value, seed) cell on freshly generated
-coverage and observations. Cells are independent and may run concurrently;
-records are canonicalized to a deterministic order afterwards.
+coverage cap s, window w, latent size l) over a list of values, running
+the chosen methods for each (value, seed) pair on coverage and observations
+generated once for that pair. Pairs are independent and may run
+concurrently; records come back in a deterministic order.
 """
 
 from __future__ import annotations
@@ -135,8 +135,10 @@ def compose_params(base: Hyperparams, axis: str, value) -> Hyperparams:
                              f"parameters: {err}") from err
 
 
-def _run_cell(field: Field, spec: SweepSpec, value, seed: int, method: str,
-              end_cycle: int | None) -> SweepRecord:
+def _cell_inputs(field: Field, spec: SweepSpec, value, seed: int,
+                 end_cycle: int | None) -> tuple[Hyperparams, np.ndarray, list]:
+    """The parameters, ground-truth window and observations that every
+    method of the (value, seed) cell runs on."""
     try:
         params = replace(compose_params(spec.base, spec.axis, value), seed=seed)
         last = field.num_cycles if end_cycle is None else end_cycle
@@ -150,9 +152,18 @@ def _run_cell(field: Field, spec: SweepSpec, value, seed: int, method: str,
         raise
     except CswaError as err:
         raise ParameterError(
-            f"sweep cell {spec.axis}={value!r} seed={seed} method={method}: "
-            f"{err}") from err
+            f"sweep cell {spec.axis}={value!r} seed={seed}: {err}") from err
+    return params, window, all_obs
 
+
+def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
+              method: str) -> SweepRecord:
+    """One method on the inputs :func:`_cell_inputs` built for (value, seed).
+
+    Called once per record, with ``method`` the fifth positional argument:
+    the benchmark's tracer (``bench/run.py``) names each cell's span by it.
+    """
+    params, window, all_obs = inputs
     start = time.perf_counter()
     scalars = 0
     if method == "cswa":
@@ -189,27 +200,24 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
 
     Cell randomness derives only from the cell's composed parameters, so
     any worker count (or concurrent execution) returns identical records,
-    wall time aside. Observations for a given (value, seed) are shared by
-    all methods, keeping comparisons paired.
+    wall time aside. The observations of a (value, seed) pair are built
+    once and shared by all its methods, keeping comparisons paired; the
+    pairs are what run concurrently.
     """
-    cells = [(value, seed, method)
-             for value in spec.values
-             for seed in spec.seeds
-             for method in spec.methods]
+    pairs = [(value, seed) for value in spec.values for seed in spec.seeds]
 
-    def run(cell):
-        value, seed, method = cell
-        return _run_cell(field, spec, value, seed, method, end_cycle)
+    def run(pair):
+        value, seed = pair
+        inputs = _cell_inputs(field, spec, value, seed, end_cycle)
+        return [_run_cell(spec, value, seed, inputs, method)
+                for method in spec.methods]
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(run, cells))
+            groups = list(pool.map(run, pairs))
     else:
-        records = [run(cell) for cell in cells]
-
-    order = {cell: i for i, cell in enumerate(cells)}
-    records.sort(key=lambda r: order[(r.value, r.seed, r.method)])
-    return records
+        groups = [run(pair) for pair in pairs]
+    return [record for group in groups for record in group]
 
 
 def median_errors(records: list[SweepRecord]) -> dict[tuple, float]:

@@ -19,6 +19,13 @@ P <- Truncate(P + step * g_p) (the factor 2 is absorbed into the step size).
 which moves *away* from the data-fit optimum; it exists only for
 side-by-side study of the two sign conventions and is off everywhere by
 default.
+
+The residual F o (R - PQ) is evaluated at the covered cells only: R - PQ
+is gathered at each participant's cached covered cells, the rest of PQ is
+multiplied by 0, and the gathered values are scattered back. A covered
+cell thus holds exactly 1 * (R - PQ), and an uncovered one 0 * PQ, which is
+0 for a finite product and NaN for an overflowed one, as with the dense
+definition, so a non-finite product is still reported as divergence.
 """
 
 from __future__ import annotations
@@ -58,12 +65,23 @@ def _check_shapes(obs: LocalObservations, factors: FactorPair) -> None:
 def _residuals(p: np.ndarray, q: np.ndarray,
                observations: Sequence[LocalObservations]) -> np.ndarray:
     """F o (R - PQ) for a stack of pairs ``p`` (n, S, L), ``q`` (n, L, W),
-    pair i against ``observations[i]``; filled in place in one (n, S, W)
-    buffer, so the observations are never stacked."""
+    pair i against ``observations[i]``, from the observations' cached
+    ``cells`` and ``readings`` with one gather and one scatter for the whole
+    stack (see module docstring)."""
     residual = p @ q
-    for res, obs in zip(residual, observations):
-        np.subtract(obs.r_local, res, out=res)
-        np.multiply(obs.f_mask, res, out=res)
+    flat = residual.reshape(-1)
+    if len(observations) == 1:
+        cells, readings = observations[0].cells, observations[0].readings
+    else:
+        # pair i's cells sit at offset i * S * W of the flattened stack
+        counts = [obs.cells.size for obs in observations]
+        cells = np.concatenate([obs.cells for obs in observations])
+        cells += np.repeat(np.arange(0, flat.size, flat.size // len(counts)),
+                           counts)
+        readings = np.concatenate([obs.readings for obs in observations])
+    covered = readings - flat[cells]
+    np.multiply(residual, 0.0, out=residual)
+    flat[cells] = covered
     return residual
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -172,11 +172,17 @@ class LocalObservations:
 
     ``participant_id`` 0 is reserved for the organizer-side aggregate that
     feeds the centralized baselines; real participants are numbered 1..m.
+
+    ``cells`` (the flat row-major indices of the collected cells) and
+    ``readings`` (``r_local`` at those cells, in the same order) are derived
+    once at construction; the hop kernel reads only these.
     """
 
     participant_id: int
     r_local: np.ndarray
     f_mask: np.ndarray
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
+    readings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.participant_id, (int, np.integer)) or self.participant_id < 0:
@@ -195,8 +201,12 @@ class LocalObservations:
             raise ParameterError("observed cells must be non-negative")
         if (r[~covered] != 0.0).any():
             raise ParameterError("masked-out cells of r_local must be exactly 0")
-        object.__setattr__(self, "r_local", r)
-        object.__setattr__(self, "f_mask", f)
+        cells = np.flatnonzero(covered)
+        readings = r.ravel()[cells]
+        for name, arr in (("r_local", r), ("f_mask", f), ("cells", cells),
+                          ("readings", readings)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_subareas(self) -> int:
@@ -208,17 +218,9 @@ class LocalObservations:
 
     def observed_mean(self) -> float:
         """Mean of the collected cells; 0.0 when nothing was collected."""
-        covered = self.f_mask == 1.0
-        if not covered.any():
+        if not self.readings.size:
             return 0.0
-        return float(self.r_local[covered].mean())
-
-    def to_jsonable(self) -> dict:
-        return {
-            "participant_id": int(self.participant_id),
-            "r_local": self.r_local.tolist(),
-            "f_mask": self.f_mask.astype(int).tolist(),
-        }
+        return float(self.readings.mean())
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ PAYLOAD_FINAL = "final-factors"
 # call among several chains.
 _BLOCK_BYTES = 512 * 1024
 
+# Next-hop draws a chain takes from its stream at a time once the number of
+# candidates is fixed; ``rng.integers(0, k, size=n)`` yields the same values
+# as n scalar draws, and a finished chain's stream is never read again.
+_DRAW_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class ChainMessage:
@@ -269,6 +274,12 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
         qs.append(factors.q)
     p, q = np.stack(ps), np.stack(qs)
     step = (-1.0 if params.literal_update else 1.0) * params.step_size
+    # after the first hop a chain with m >= 3 always has the same number of
+    # candidates, so its draws come from a per-chain buffer
+    exclude_self = params.exclude_self
+    candidates = params.num_participants - (2 if exclude_self else 1)
+    chunked = params.num_participants >= 3
+    draws: list[list[int]] = [[] for _ in starts]
     routes = [[start] for start in starts]
     finished: list[Finished | None] = [None] * len(starts)
     diverged: list[tuple[int, int]] = []
@@ -287,7 +298,23 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
             elif d > params.grad_tol and iteration < params.max_iters:
                 route = routes[c]
                 sender = route[-2] if len(route) > 1 else None
-                route.append(_draw_next(rngs[c], params, sender, route[-1]))
+                current = route[-1]
+                if sender is None or not chunked:
+                    route.append(_draw_next(rngs[c], params, sender, current))
+                else:
+                    pending = draws[c]
+                    if not pending:
+                        pending.extend(reversed(rngs[c].integers(
+                            0, candidates, size=_DRAW_CHUNK).tolist()))
+                    # shift past the sorted exclusions, as _draw_next does
+                    pick = pending.pop() + 1
+                    if exclude_self:
+                        low, high = sorted((sender, current))
+                        pick += pick >= low
+                        pick += pick >= high
+                    else:
+                        pick += pick >= sender
+                    route.append(pick)
                 keep.append(i)
             else:
                 finished[c] = Finished(FactorPair(p[i], q[i]), iteration,

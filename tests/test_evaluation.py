@@ -133,6 +133,20 @@ def test_sweep_observations_shared_across_methods():
     assert only.abs_error == with_others.abs_error
 
 
+def test_sweep_builds_observations_once_per_pair(monkeypatch):
+    from cswa import evaluation
+    calls = []
+    original = evaluation.observe
+    monkeypatch.setattr(evaluation, "observe",
+                        lambda *args: calls.append(1) or original(*args))
+    field = generate_lowrank_field(12, 10, rank=2, seed=4)
+    spec = SweepSpec(base=_base(), axis="m", values=(6, 8), seeds=(0, 1),
+                     methods=("cswa", "centralized", "tsvd", "meanfill"))
+    records = run_sweep(spec, field, max_workers=2)
+    assert len(records) == 16
+    assert len(calls) == 4
+
+
 def test_sweep_scalar_totals_within_bound():
     field = generate_lowrank_field(12, 10, rank=2, seed=5)
     base = _base(grad_tol=0.0, max_iters=20)

@@ -6,6 +6,7 @@ from cswa import (FactorPair, Hyperparams, LocalObservations, NumericError,
                   gradients, init_factors, masked_loss, sgd_step,
                   solve_centralized, substream, truncate)
 from cswa.evaluation import absolute_error
+from cswa.factorization import _hop
 
 from conftest import finite_difference_grads, random_factors, random_observations
 
@@ -174,6 +175,65 @@ def test_step_divergence_raises_numeric_error():
         for _ in range(10_000):
             factors, _ = sgd_step(obs, factors, 1.0, 0.0, 0.0,
                                   literal_update=True)
+
+
+# --- _hop: covered-cell evaluation against the dense definition ---
+
+def _dense_hop(p, q, observations, reg_p, reg_q, step):
+    """The hop written straight from the module docstring, with the
+    residual F o (R - PQ) formed over every cell."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.stack([obs.f_mask * (obs.r_local - pq)
+                             for obs, pq in zip(observations, p @ q)])
+        g_p = residual @ q.swapaxes(1, 2) - reg_p * p
+        g_q = p.swapaxes(1, 2) @ residual - reg_q * q
+        new_p = np.maximum(p + step * g_p, 0.0)
+        new_q = np.maximum(q + step * g_q, 0.0)
+        finite = (np.isfinite(new_p).all(axis=(1, 2))
+                  & np.isfinite(new_q).all(axis=(1, 2)))
+        delta = np.maximum(np.abs(g_p).max(axis=(1, 2)),
+                           np.abs(g_q).max(axis=(1, 2)))
+    return new_p, new_q, g_p, g_q, finite, delta
+
+
+def _assert_identical(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hop_matches_dense_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, s, w, l = (int(v) for v in rng.integers(1, [6, 25, 25, 5]))
+    observations = []
+    for j in range(n):
+        # a mix of empty, full and partial coverage within one stack
+        fill = (0.0, 1.0, rng.random())[int(rng.integers(0, 3))]
+        mask = (rng.random((s, w)) < fill).astype(float)
+        observations.append(
+            LocalObservations(j + 1, mask * rng.random((s, w)) * 3.0, mask))
+    p = rng.random((n, s, l)) * (rng.random((n, s, l)) < 0.8)
+    q = rng.random((n, l, w)) * (rng.random((n, l, w)) < 0.8)
+    for step in (1e-2, -1e-2):
+        _assert_identical(_hop(p, q, observations, 1e-3, 2e-3, step),
+                          _dense_hop(p, q, observations, 1e-3, 2e-3, step))
+
+
+def test_hop_overflow_at_uncovered_cell_is_not_finite():
+    # PQ overflows only at cell (0, 0), which pair 0 did not collect: the
+    # residual there is 0 * inf = NaN, so the update must not be finite
+    mask = np.ones((3, 4))
+    mask[0, 0] = 0.0
+    observations = [LocalObservations(1, mask, mask),
+                    LocalObservations(2, np.zeros((3, 4)), np.zeros((3, 4)))]
+    p = np.ones((2, 3, 2))
+    q = np.ones((2, 2, 4))
+    p[0, 0, 0] = q[0, 0, 0] = 1e300
+    got = _hop(p, q, observations, 1e-4, 1e-4, 1e-3)
+    _assert_identical(got, _dense_hop(p, q, observations, 1e-4, 1e-4, 1e-3))
+    assert got[4].tolist() == [False, True]
 
 
 # --- init_factors ---

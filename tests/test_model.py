@@ -126,6 +126,27 @@ def test_observed_mean():
     assert empty.observed_mean() == 0.0
 
 
+def test_observed_mean_is_bitwise_the_masked_mean():
+    rng = np.random.default_rng(0)
+    for fill in (0.0, 0.03, 0.3, 0.9, 1.0):
+        mask = (rng.random((200, 100)) < fill).astype(float)
+        values = mask * rng.random((200, 100)) * 7.0
+        obs = LocalObservations(1, values, mask)
+        expected = float(values[mask == 1].mean()) if fill else 0.0
+        assert obs.observed_mean() == expected
+
+
+def test_local_observations_cache_covered_cells():
+    mask = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    values = np.array([[0.0, 2.0, 0.0], [5.0, 0.0, 3.0]])
+    obs = LocalObservations(1, values, mask)
+    assert obs.cells.tolist() == [1, 3, 5]
+    assert obs.readings.tolist() == [2.0, 5.0, 3.0]
+    assert not obs.cells.flags.writeable and not obs.readings.flags.writeable
+    empty = LocalObservations(2, np.zeros((2, 3)), np.zeros((2, 3)))
+    assert empty.cells.size == 0 and empty.readings.size == 0
+
+
 def test_factor_pair_shapes_must_agree():
     with pytest.raises(ShapeError):
         FactorPair(np.ones((4, 2)), np.ones((3, 5)))

@@ -11,6 +11,7 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   assign_coverage, audit_transcript, generate_lowrank_field,
                   observe, participant_step, recover,
                   run_simulation, substream)
+from cswa import protocol
 from cswa.protocol import _draw_next
 
 from conftest import random_factors
@@ -108,6 +109,19 @@ def test_draw_next_matches_candidate_list(num_participants, exclude_self):
                 assert (_draw_next(fast, params, prev, current)
                         == _draw_by_candidate_list(slow, num_participants,
                                                    exclude_self, prev, current))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 198, 1000, 2**31 + 5])
+def test_chunked_draws_equal_scalar_draws(k):
+    # _run_block draws next hops in chunks; this must equal drawing them one
+    # at a time and leave the stream in the same state
+    chunked, scalar = substream(0, "chain", k), substream(0, "chain", k)
+    scalar.integers(0, k + 1)  # the first hop's draw has one more candidate
+    chunked.integers(0, k + 1)
+    values = chunked.integers(0, k, size=protocol._DRAW_CHUNK).tolist()
+    assert values == [int(scalar.integers(0, k))
+                      for _ in range(protocol._DRAW_CHUNK)]
+    assert chunked.bit_generator.state == scalar.bit_generator.state
 
 
 def test_step_rejects_exhausted_message():
@@ -319,6 +333,23 @@ def test_run_matches_golden_digest(shape, settings, digest):
                   substream(params.seed, "observe"))
     result = run_simulation(obs, params)
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("exclude_self", [True, False])
+def test_run_independent_of_block_size(monkeypatch, exclude_self):
+    # the kernel gathers each chain's cells at an offset set by its position
+    # in the block, which shifts as chains finish (here after 2 to 70 hops);
+    # blocks of 1, 3 and all 7 chains must agree exactly
+    params = _params(num_participants=9, batch_size=7, max_subareas=3,
+                     window=12, max_iters=70, grad_tol=1.0,
+                     noise_sigma=0.01, exclude_self=exclude_self)
+    obs, _ = _make_obs(params, num_subareas=10)
+    cell_bytes = 10 * params.window * 8
+    runs = []
+    for block_bytes in (1, 3 * cell_bytes, 100 * cell_bytes):
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES", block_bytes)
+        runs.append(run_simulation(obs, params).to_json())
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_run_result_json_has_no_observation_fields():
