@@ -18,7 +18,7 @@ from .evaluation import (AXES, METHODS, SweepRecord, SweepSpec,
                          compose_params, median_errors, records_to_csv,
                          run_sweep)
 from .factorization import (GradPair, gradients, init_factors, masked_loss,
-                            sgd_step, solve_centralized, truncate)
+                            sgd_step, solve_centralized)
 from .model import (FactorPair, Field, Hyperparams, LocalObservations,
                     build_window)
 from .protocol import (ORGANIZER, AuditReport, AuditViolation, ChainMessage,
@@ -40,6 +40,6 @@ __all__ = [
     "comm_bound_scalars", "compose_params", "generate_lowrank_field",
     "gradients", "init_factors", "load_field_csv",
     "masked_loss", "mean_fill", "median_errors", "observe", "participant_step", "records_to_csv", "recover", "run_simulation",
-    "run_sweep", "sgd_step", "solve_centralized", "substream", "truncate",
+    "run_sweep", "sgd_step", "solve_centralized", "substream",
     "tsvd_impute", "write_field_csv",
 ]

@@ -19,15 +19,10 @@ from .model import LocalObservations
 
 @dataclass(frozen=True)
 class ImputeResult:
-    """Completion output: the filled matrix, rounds used, the last
-    round's max absolute change on missing cells, and the final rank-k
-    reconstruction before observed cells were overwritten (``low_rank``,
-    kept for rank diagnostics)."""
+    """Completion output: the filled matrix and the rounds used."""
 
     completed: np.ndarray
     iterations: int
-    final_delta: float
-    low_rank: np.ndarray
 
 
 def _observed(aggregated: LocalObservations) -> tuple[np.ndarray, np.ndarray]:
@@ -63,9 +58,6 @@ def tsvd_impute(aggregated: LocalObservations, k: int,
     filled = np.where(mask, values, col_means[np.newaxis, :])
 
     missing = ~mask
-    low_rank = filled
-    rounds = 0
-    delta = 0.0
     for rounds in range(1, max_rounds + 1):
         u, s, vt = np.linalg.svd(filled, full_matrices=False)
         low_rank = (u[:, :k] * s[:k]) @ vt[:k]
@@ -74,7 +66,7 @@ def tsvd_impute(aggregated: LocalObservations, k: int,
         if delta <= tol:
             break
     completed = np.where(mask, values, np.maximum(filled, 0.0))
-    return ImputeResult(completed, rounds, delta, low_rank)
+    return ImputeResult(completed, rounds)
 
 
 def mean_fill(aggregated: LocalObservations) -> np.ndarray:

@@ -19,11 +19,11 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .datagen import assign_coverage, generate_lowrank_field, load_field_csv, \
-    observe, write_field_csv
+    write_field_csv
 from .errors import CswaError, NumericError, ParameterError, ParseError
-from .evaluation import SweepSpec, absolute_error, median_errors, \
-    records_to_csv, run_sweep
-from .model import Field, Hyperparams, build_window, check_type
+from .evaluation import SweepSpec, absolute_error, build_inputs, \
+    median_errors, records_to_csv, run_sweep
+from .model import Field, Hyperparams, check_type
 from .protocol import TranscriptEntry, audit_transcript, run_simulation
 from .rng import substream
 
@@ -151,23 +151,10 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def _pipeline(config: RunConfig):
-    """Shared datagen front half: field -> window -> schedule -> observations."""
-    field = _build_field(config)
-    params = config.params
-    params.check_against(field.num_subareas)
-    end_cycle = config.end_cycle if config.end_cycle is not None else field.num_cycles
-    window = build_window(field, end_cycle, params.window)
-    schedule = assign_coverage(params, field.num_subareas,
-                               substream(params.seed, "coverage"))
-    all_obs = observe(window, schedule, params.noise_sigma,
-                      substream(params.seed, "observe"))
-    return field, window, schedule, all_obs
-
-
 def cmd_run(config: RunConfig, audit: bool = False,
             transcript_jsonl: bool = False) -> int:
-    field, window, schedule, all_obs = _pipeline(config)
+    window, schedule, all_obs = build_inputs(_build_field(config),
+                                             config.params, config.end_cycle)
     result = run_simulation(all_obs, config.params)
     err = absolute_error(result.recovered, window)
 
@@ -208,8 +195,10 @@ def cmd_sweep(config: RunConfig, workers: int) -> int:
                              "{axis, values, seeds, methods}")
     section = config.sweep
     required = {"axis", "values", "seeds", "methods"}
-    if not isinstance(section, dict) or not required <= set(section):
-        raise ParameterError(f"sweep section must define {sorted(required)}")
+    if not isinstance(section, dict) or set(section) != required:
+        raise ParameterError(f"sweep section must have exactly the keys "
+                             f"{sorted(required)}, got {section!r}")
+    check_type("sweep.axis", section["axis"], "str")
     for key in ("values", "seeds", "methods"):
         check_type(f"sweep.{key}", section[key], "list")
     spec = SweepSpec(base=config.params, axis=section["axis"],

@@ -20,73 +20,57 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class CoverageSchedule:
-    """Covered subarea sets per participant and cycle.
+    """Which subareas each participant covers in each cycle of the window.
 
-    ``covered[j-1][t-1]`` is the sorted tuple of 1-based subarea indices
-    participant j covers in cycle t of the window. Every set is non-empty:
-    a participant that senses nothing in a cycle is not modeled.
+    ``covered[j-1, a-1, t-1]`` is True when participant j covers subarea a
+    in cycle t: a read-only boolean array of shape (participants, subareas,
+    cycles), participant j's slice being its 0/1 filter matrix F. Every
+    participant covers at least one subarea per cycle: a participant that
+    senses nothing in a cycle is not modeled.
     """
 
-    covered: tuple[tuple[tuple[int, ...], ...], ...]
-    num_subareas: int
+    covered: np.ndarray
 
     def __post_init__(self):
-        if len(self.covered) < 1:
-            raise ParameterError("schedule needs at least one participant")
-        cycles = {len(rows) for rows in self.covered}
-        if len(cycles) != 1 or 0 in cycles:
-            raise ParameterError("all participants must cover the same non-zero number of cycles")
-        for rows in self.covered:
-            for cells in rows:
-                if len(cells) < 1:
-                    raise ParameterError("covered sets must be non-empty")
-                if len(set(cells)) != len(cells):
-                    raise ParameterError("covered subareas must be distinct")
-                for a in cells:
-                    if not 1 <= a <= self.num_subareas:
-                        raise ParameterError(
-                            f"subarea index {a} outside 1..{self.num_subareas}")
+        covered = np.array(self.covered, dtype=bool)
+        if covered.ndim != 3:
+            raise ShapeError("covered must be a (participants, subareas, "
+                             f"cycles) array, got shape {covered.shape}")
+        if not covered.any(axis=1).all():
+            raise ParameterError("every participant must cover at least one "
+                                 "subarea per cycle")
+        covered.setflags(write=False)
+        object.__setattr__(self, "covered", covered)
 
     @property
     def num_participants(self) -> int:
-        return len(self.covered)
+        return self.covered.shape[0]
+
+    @property
+    def num_subareas(self) -> int:
+        return self.covered.shape[1]
 
     @property
     def num_cycles(self) -> int:
-        return len(self.covered[0])
+        return self.covered.shape[2]
 
     def mask(self, participant_id: int) -> np.ndarray:
         """0/1 filter matrix for one participant (1-based id)."""
-        out = np.zeros((self.num_subareas, self.num_cycles))
-        for t, cells in enumerate(self.covered[participant_id - 1]):
-            for a in cells:
-                out[a - 1, t] = 1.0
-        return out
+        return self.covered[participant_id - 1].astype(np.float64)
 
     def union_mask(self) -> np.ndarray:
         """0/1 matrix of cells covered by at least one participant."""
-        out = np.zeros((self.num_subareas, self.num_cycles))
-        for j in range(1, self.num_participants + 1):
-            out = np.maximum(out, self.mask(j))
-        return out
-
-    def coverage(self, cycle: int) -> set[int]:
-        """Union of all participants' covered subareas in one cycle (1-based)."""
-        return set().union(*(rows[cycle - 1] for rows in self.covered))
+        return self.covered.any(axis=0).astype(np.float64)
 
     def to_jsonable(self) -> dict:
+        """``covered[j-1][t-1]`` is the ascending list of the 1-based
+        subareas participant j covers in cycle t."""
+        subareas = np.arange(1, self.num_subareas + 1)
         return {
             "num_subareas": self.num_subareas,
-            "covered": [[list(cells) for cells in rows] for rows in self.covered],
+            "covered": [[subareas[cells].tolist() for cells in rows]
+                        for rows in self.covered.transpose(0, 2, 1)],
         }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CoverageSchedule":
-        covered = tuple(
-            tuple(tuple(int(a) for a in cells) for cells in rows)
-            for rows in data["covered"]
-        )
-        return cls(covered, int(data["num_subareas"]))
 
 
 def generate_lowrank_field(num_subareas: int, num_cycles: int, rank: int,
@@ -118,15 +102,13 @@ def assign_coverage(params: Hyperparams, num_subareas: int,
             f"max_subareas ({params.max_subareas}) exceeds the number of "
             f"subareas ({num_subareas})")
     streams = rng.spawn(params.num_participants)
-    covered = []
-    for stream in streams:
-        rows = []
-        for _ in range(params.window):
+    covered = np.zeros((params.num_participants, num_subareas, params.window),
+                       dtype=bool)
+    for j, stream in enumerate(streams):
+        for t in range(params.window):
             k = int(stream.integers(1, params.max_subareas + 1))
-            picks = stream.choice(num_subareas, size=k, replace=False)
-            rows.append(tuple(sorted(int(a) + 1 for a in picks)))
-        covered.append(tuple(rows))
-    return CoverageSchedule(tuple(covered), num_subareas)
+            covered[j, stream.choice(num_subareas, size=k, replace=False), t] = True
+    return CoverageSchedule(covered)
 
 
 def observe(field_window: np.ndarray, schedule: CoverageSchedule,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import mean_fill, tsvd_impute
 from .datagen import assign_coverage, observe
-from .errors import CswaError, NumericError, ParameterError, ShapeError
+from .errors import CswaError, ParameterError, ShapeError
 from .factorization import solve_centralized
 from .model import Field, Hyperparams, build_window, check_type
 from .protocol import aggregate_for_baseline, run_simulation
@@ -135,30 +135,30 @@ def compose_params(base: Hyperparams, axis: str, value) -> Hyperparams:
                              f"parameters: {err}") from err
 
 
-def _cell_inputs(field: Field, spec: SweepSpec, value, seed: int,
-                 end_cycle: int | None) -> tuple[Hyperparams, np.ndarray, list]:
-    """The parameters, ground-truth window and observations that every
-    method of the (value, seed) cell runs on."""
-    try:
-        params = replace(compose_params(spec.base, spec.axis, value), seed=seed)
-        last = field.num_cycles if end_cycle is None else end_cycle
-        window = build_window(field, last, params.window)
-        params.check_against(field.num_subareas)
-        schedule = assign_coverage(params, field.num_subareas,
-                                   substream(seed, "coverage"))
-        all_obs = observe(window, schedule, params.noise_sigma,
-                          substream(seed, "observe"))
-    except NumericError:
-        raise
-    except CswaError as err:
-        raise ParameterError(
-            f"sweep cell {spec.axis}={value!r} seed={seed}: {err}") from err
-    return params, window, all_obs
+def build_inputs(field: Field, params: Hyperparams,
+                 end_cycle: int | None = None):
+    """The ground-truth window ending at ``end_cycle`` (default: the last
+    cycle), the coverage schedule and every participant's observations of
+    it, drawn from the ``coverage`` and ``observe`` streams of
+    ``params.seed``. Returns (window, schedule, observations).
+
+    The one datagen path of ``cswa run`` and of each sweep (value, seed)
+    pair. It calls ``assign_coverage`` and ``observe`` through this module,
+    where the benchmark's tracer (``bench/run.py``) wraps them.
+    """
+    params.check_against(field.num_subareas)
+    last = field.num_cycles if end_cycle is None else end_cycle
+    window = build_window(field, last, params.window)
+    schedule = assign_coverage(params, field.num_subareas,
+                               substream(params.seed, "coverage"))
+    observations = observe(window, schedule, params.noise_sigma,
+                           substream(params.seed, "observe"))
+    return window, schedule, observations
 
 
 def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
               method: str) -> SweepRecord:
-    """One method on the inputs :func:`_cell_inputs` built for (value, seed).
+    """One method on the (params, window, observations) of (value, seed).
 
     Called once per record, with ``method`` the fifth positional argument:
     the benchmark's tracer (``bench/run.py``) names each cell's span by it.
@@ -208,8 +208,14 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
 
     def run(pair):
         value, seed = pair
-        inputs = _cell_inputs(field, spec, value, seed, end_cycle)
-        return [_run_cell(spec, value, seed, inputs, method)
+        try:
+            params = replace(compose_params(spec.base, spec.axis, value),
+                             seed=seed)
+            window, _, all_obs = build_inputs(field, params, end_cycle)
+        except CswaError as err:
+            raise ParameterError(
+                f"sweep cell {spec.axis}={value!r} seed={seed}: {err}") from err
+        return [_run_cell(spec, value, seed, (params, window, all_obs), method)
                 for method in spec.methods]
 
     if max_workers > 1:

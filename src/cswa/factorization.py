@@ -139,12 +139,6 @@ def gradients(obs: LocalObservations, factors: FactorPair,
     return GradPair(g_p[0], g_q[0])
 
 
-def truncate(factors: FactorPair) -> FactorPair:
-    """Element-wise projection of both factors onto the non-negative
-    orthant (negatives set to zero). Idempotent."""
-    return FactorPair(np.maximum(factors.p, 0.0), np.maximum(factors.q, 0.0))
-
-
 def sgd_step(obs: LocalObservations, factors: FactorPair, step_size: float,
              reg_p: float, reg_q: float, *,
              literal_update: bool = False) -> tuple[FactorPair, GradPair]:

@@ -128,6 +128,11 @@ class Hyperparams:
             v = getattr(self, name)
             if v < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+        if self.num_participants < 2:
+            raise ParameterError(
+                f"num_participants must be at least 2, got "
+                f"{self.num_participants}: a chain is never sent back to "
+                "its sender, so one participant cannot forward it")
         if self.batch_size > self.num_participants:
             raise ParameterError(
                 f"batch_size ({self.batch_size}) cannot exceed "
@@ -248,17 +253,9 @@ class FactorPair:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def latent(self) -> int:
-        return self.p.shape[1]
-
     def product(self) -> np.ndarray:
         """The reconstruction this pair encodes."""
         return self.p @ self.q
-
-    def scalar_count(self) -> int:
-        """Number of real values a message carrying this pair transfers."""
-        return self.p.size + self.q.size
 
 
 def build_window(field: Field, end_cycle: int, window: int) -> np.ndarray:

@@ -194,8 +194,6 @@ def _draw_next(rng: np.random.Generator, params: Hyperparams,
     excluded.discard(None)
     if len(excluded) == num_participants:
         excluded = {prev} - {None}
-    if len(excluded) == num_participants:  # m == 1: the chain stays put
-        excluded = set()
     pick = int(rng.integers(0, num_participants - len(excluded))) + 1
     for skipped in sorted(excluded):
         if pick >= skipped:

@@ -92,7 +92,7 @@ def test_criterion_2_exact_recovery_centralized():
     errors = []
     for seed in range(5):
         field = generate_lowrank_field(20, 30, rank=2, seed=seed)
-        params = Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
+        params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
                              window=30, latent=2, step_size=1e-3, reg_p=1e-4,
                              reg_q=1e-4, max_iters=5000, seed=seed)
         full = LocalObservations(0, field.values, np.ones_like(field.values))

@@ -19,7 +19,6 @@ def test_tsvd_identity_on_full_observation():
     result = tsvd_impute(obs, k=2)
     assert np.array_equal(result.completed, values)
     assert result.iterations == 1
-    assert result.final_delta == 0.0
 
 
 def test_tsvd_recovers_rank_one_missing_cell():
@@ -60,15 +59,6 @@ def test_tsvd_preserves_observed_cells():
     result = tsvd_impute(obs, k=3)
     observed = mask == 1.0
     assert np.array_equal(result.completed[observed], field.values[observed])
-
-
-def test_tsvd_low_rank_iterate_has_rank_k():
-    field = generate_lowrank_field(12, 9, rank=4, seed=4)
-    rng = np.random.default_rng(5)
-    mask = (rng.random((12, 9)) < 0.7).astype(float)
-    result = tsvd_impute(_masked_obs(field.values, mask), k=2)
-    singular = np.linalg.svd(result.low_rank, compute_uv=False)
-    assert (singular > 1e-9 * singular[0]).sum() <= 2
 
 
 def test_tsvd_exact_on_lowrank_full_coverage():

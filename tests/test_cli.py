@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -53,6 +54,48 @@ def test_generate_requires_synthetic_spec(tmp_path):
     assert main(["generate", "--config", config]) == 2
 
 
+# SHA-256 of each artifact of `cswa generate` then `cswa run --audit
+# --transcript` on a README-style config (300-update budget, with
+# missing_only_error), recorded before the coverage schedule became a
+# boolean array; any change to coverage, observations, the run or the
+# output formats moves one of them
+_GOLDEN_ARTIFACTS = {
+    "field.csv":
+        "3dd5c239f01e4cbac3b9c05fc5f8ec7fd9935f23d6abee68b00383a98965fc23",
+    "schedule.json":
+        "3ba632643ae99e1a8539da6c83875a077b442341e2875cdcd6c32ba00d12b86f",
+    "run_result.json":
+        "0769d1ea32e43a9b97e42780b602d609a9159e3eab83c134fabf7eaebba5d30a",
+    "transcript.jsonl":
+        "f73c529bb8f4021e41a11bc32cb758fb72a2ddd672214ea92e6764cf5fce1b4f",
+}
+
+
+def test_cli_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the echoed relative `out` is in the bytes
+    doc = {
+        "num_participants": 10, "batch_size": 10, "max_subareas": 3,
+        "window": 30, "latent": 2,
+        "step_size": 1e-3, "reg_p": 1e-4, "reg_q": 1e-4,
+        "grad_tol": 1e-4, "max_iters": 300, "noise_sigma": 0.01,
+        "seed": 0,
+        "synthetic": {"num_subareas": 20, "num_cycles": 30, "rank": 2},
+        "end_cycle": None,
+        "out": "out",
+        "literal_update": False, "exclude_self": True,
+        "require_convergence": False, "missing_only_error": True,
+        "sweep": {"axis": "m", "values": [5, 10, 20],
+                  "seeds": [0, 1, 2, 3, 4],
+                  "methods": ["cswa", "centralized", "tsvd", "meanfill"]},
+    }
+    config = _write_config(tmp_path, doc)
+    assert main(["generate", "--config", config]) == 0
+    assert main(["run", "--config", config, "--audit", "--transcript"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in _GOLDEN_ARTIFACTS}
+    assert digests == _GOLDEN_ARTIFACTS
+
+
 # --- run ---
 
 def test_run_zero_noise_full_coverage(tmp_path, capsys):
@@ -69,6 +112,20 @@ def test_run_zero_noise_full_coverage(tmp_path, capsys):
     assert doc["abs_error"] == float(parts["abs_error"])
     assert doc["config"]["seed"] == 2
     assert len(doc["transcript"]) == int(parts["scalars"]) // (20 * 2 + 2 * 30)
+
+
+def test_run_builds_observations_through_evaluation(tmp_path, monkeypatch):
+    # `cswa run` and the sweep share one datagen path, which calls
+    # assign_coverage and observe through cswa.evaluation
+    from cswa import evaluation
+    calls = []
+    for name in ("assign_coverage", "observe"):
+        original = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name, lambda *args, f=original, n=name:
+                            calls.append(n) or f(*args))
+    config = _write_config(tmp_path, _run_config(tmp_path, max_iters=5))
+    assert main(["run", "--config", config]) == 0
+    assert calls == ["assign_coverage", "observe"]
 
 
 def test_run_rejects_oversized_latent_before_computing(tmp_path):
@@ -207,6 +264,8 @@ _MALFORMED = {
     "int-fraction": ("max_iters", {"max_iters": 2.7}),
     "int-bool": ("num_participants", {"num_participants": True,
                                       "batch_size": 1}),
+    "one-participant": ("num_participants", {"num_participants": 1,
+                                             "batch_size": 1}),
     "grad_tol-nan": ("grad_tol", {"grad_tol": float("nan")}),
     "reg_p-nan": ("reg_p", {"reg_p": float("nan")}),
     "step_size-inf": ("step_size", {"step_size": float("inf")}),
@@ -225,6 +284,11 @@ _MALFORMED = {
         "axis": "m", "values": "48", "seeds": [0], "methods": ["meanfill"]}}),
     "sweep-methods-string": ("sweep.methods", {"sweep": {
         "axis": "m", "values": [4], "seeds": [0], "methods": "meanfill"}}),
+    "sweep-axis-list": ("sweep.axis", {"sweep": {
+        "axis": ["m"], "values": [4], "seeds": [0], "methods": ["meanfill"]}}),
+    "sweep-unknown-key": ("workers", {"sweep": {
+        "axis": "m", "values": [4], "seeds": [0], "methods": ["meanfill"],
+        "workers": 2}}),
     "field_csv-int": ("field_csv", {"synthetic": None, "field_csv": 5}),
     "out-int": ("out", {"out": 5}),
     "unit-int": ("unit", {"unit": 5}),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,7 @@ def test_rank_too_large_rejected():
 def test_coverage_degenerate_single_subarea():
     params = _params(max_subareas=1)
     schedule = assign_coverage(params, 20, substream(0, "coverage"))
-    for rows in schedule.covered:
-        for cells in rows:
-            assert len(cells) == 1
+    assert (schedule.covered.sum(axis=1) == 1).all()
 
 
 def test_coverage_count_distribution_uniform():
@@ -61,10 +61,7 @@ def test_coverage_count_distribution_uniform():
     params = _params(num_participants=100, batch_size=50, window=100,
                      max_subareas=3)
     schedule = assign_coverage(params, 20, substream(42, "coverage"))
-    counts = np.zeros(3)
-    for rows in schedule.covered:
-        for cells in rows:
-            counts[len(cells) - 1] += 1
+    counts = np.bincount(schedule.covered.sum(axis=1).ravel(), minlength=4)[1:]
     n = counts.sum()
     assert n == 100 * 100
     sigma = np.sqrt((1 / 3) * (2 / 3) / n)
@@ -76,17 +73,19 @@ def test_coverage_union_bounded_by_participants():
     # 10 singleton coverers bound each cycle's union at 10 subareas
     params = _params(num_participants=10, max_subareas=1)
     schedule = assign_coverage(params, 57, substream(5, "coverage"))
-    for t in range(1, schedule.num_cycles + 1):
-        assert len(schedule.coverage(t)) <= 10
+    assert (schedule.covered.any(axis=0).sum(axis=0) <= 10).all()
 
 
 def test_coverage_sets_within_cap_and_distinct():
     params = _params(max_subareas=3)
     schedule = assign_coverage(params, 12, substream(9, "coverage"))
-    for rows in schedule.covered:
+    assert schedule.covered.shape == (10, 12, 8)
+    counts = schedule.covered.sum(axis=1)
+    assert ((1 <= counts) & (counts <= 3)).all()
+    # a set per cycle, distinct and within 1..12, as JSON lists too
+    for rows in schedule.to_jsonable()["covered"]:
         for cells in rows:
-            assert 1 <= len(cells) <= 3
-            assert len(set(cells)) == len(cells)
+            assert cells == sorted(set(cells))
             assert all(1 <= a <= 12 for a in cells)
 
 
@@ -99,13 +98,34 @@ def test_coverage_deterministic_for_stream():
     params = _params()
     a = assign_coverage(params, 20, substream(3, "coverage"))
     b = assign_coverage(params, 20, substream(3, "coverage"))
-    assert a == b
+    assert np.array_equal(a.covered, b.covered)
 
 
 def test_schedule_json_round_trip():
     schedule = assign_coverage(_params(), 20, substream(1, "coverage"))
-    again = CoverageSchedule.from_jsonable(schedule.to_jsonable())
-    assert again == schedule
+    doc = json.loads(json.dumps(schedule.to_jsonable()))
+    assert doc["num_subareas"] == 20
+    rebuilt = np.zeros_like(schedule.covered)
+    for j, rows in enumerate(doc["covered"]):
+        for t, cells in enumerate(rows):
+            rebuilt[j, np.array(cells) - 1, t] = True
+    assert np.array_equal(rebuilt, schedule.covered)
+
+
+def test_schedule_rejects_empty_cycle():
+    covered = np.ones((2, 4, 3), dtype=bool)
+    covered[1, :, 2] = False
+    with pytest.raises(ParameterError, match="at least one subarea"):
+        CoverageSchedule(covered)
+
+
+def test_schedule_is_read_only_copy():
+    covered = np.ones((2, 4, 3), dtype=bool)
+    schedule = CoverageSchedule(covered)
+    covered[0, 0, 0] = False
+    assert schedule.covered[0, 0, 0]
+    with pytest.raises(ValueError):
+        schedule.covered[0, 0, 0] = False
 
 
 # --- observe ---
@@ -128,8 +148,9 @@ def test_observe_zero_noise_matches_truth():
 
 def test_observe_same_cell_independent_noise():
     field = generate_lowrank_field(4, 3, rank=1, seed=0)
-    covered = tuple(tuple((a,) for a in (1, 1, 1)) for _ in range(2))
-    schedule = CoverageSchedule(covered, 4)
+    covered = np.zeros((2, 4, 3), dtype=bool)
+    covered[:, 0, :] = True  # both participants cover subarea 1 every cycle
+    schedule = CoverageSchedule(covered)
     obs = observe(field.values, schedule, 0.5, substream(7, "observe"))
     assert obs[0].r_local[0, 0] != obs[1].r_local[0, 0]
 
@@ -138,9 +159,7 @@ def test_observe_noise_std_matches_sigma():
     # sample std of (observed - true) within 5% of 0.1 over >= 1e4 cells
     rng = np.random.default_rng(0)
     truth = rng.random((30, 30)) + 5.0  # keep far from the clamp at 0
-    covered = tuple(
-        tuple(tuple(range(1, 31)) for _ in range(30)) for _ in range(12))
-    schedule = CoverageSchedule(covered, 30)
+    schedule = CoverageSchedule(np.ones((12, 30, 30), dtype=bool))
     obs = observe(truth, schedule, 0.1, substream(11, "observe"))
     residuals = np.concatenate([(o.r_local - truth).ravel() for o in obs])
     assert residuals.size >= 10_000
@@ -153,16 +172,12 @@ def test_observe_union_of_masks_matches_schedule():
     for o in obs:
         union = np.maximum(union, o.f_mask)
     assert np.array_equal(union, schedule.union_mask())
-    for t in range(1, schedule.num_cycles + 1):
-        from_masks = {a + 1 for a in np.flatnonzero(union[:, t - 1])}
-        assert from_masks == schedule.coverage(t)
+    assert np.array_equal(union == 1.0, schedule.covered.any(axis=0))
 
 
 def test_observe_emits_non_negative_readings():
     truth = np.full((6, 5), 0.01)  # heavy noise would push below zero
-    covered = tuple(
-        tuple(tuple(range(1, 7)) for _ in range(5)) for _ in range(3))
-    schedule = CoverageSchedule(covered, 6)
+    schedule = CoverageSchedule(np.ones((3, 6, 5), dtype=bool))
     obs = observe(truth, schedule, 1.0, substream(3, "observe"))
     for o in obs:
         assert (o.r_local >= 0).all()

@@ -4,7 +4,7 @@ import pytest
 from cswa import (FactorPair, Hyperparams, LocalObservations, NumericError,
                   ParameterError, ShapeError, generate_lowrank_field,
                   gradients, init_factors, masked_loss, sgd_step,
-                  solve_centralized, substream, truncate)
+                  solve_centralized, substream)
 from cswa.evaluation import absolute_error
 from cswa.factorization import _hop
 
@@ -98,7 +98,17 @@ def test_gradients_ignore_masked_out_cells():
     assert masked_loss(obs, factors, 0.1, 0.1) == masked_loss(twin, factors, 0.1, 0.1)
 
 
-# --- truncate ---
+# --- truncation, the last step of every hop ---
+
+def truncate(pair: FactorPair) -> FactorPair:
+    """One hop on a participant that covered nothing, without
+    regularization: both gradients are 0, so the update is exactly the
+    hop's Truncate step."""
+    shape = (pair.p.shape[0], pair.q.shape[1])
+    nothing = LocalObservations(1, np.zeros(shape), np.zeros(shape))
+    p, q, *_ = _hop(pair.p[None], pair.q[None], (nothing,), 0.0, 0.0, 0.5)
+    return FactorPair(p[0], q[0])
+
 
 def test_truncate_definition():
     pair = FactorPair(np.array([[-1.0, 2.0], [0.0, -3.0]]),
@@ -271,7 +281,7 @@ def test_centralized_recovers_lowrank_field():
     # instance (3e-4 .. 3e-2 over seeds); the acceptance suite checks the
     # mean-error rate over 5 seeds, this checks tight fit on one instance
     field = generate_lowrank_field(20, 30, rank=2, seed=4)
-    params = Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
                          window=30, latent=2, step_size=1e-3, reg_p=1e-4,
                          reg_q=1e-4, max_iters=5000, seed=4)
     factors, iters = solve_centralized(_full_observations(field), params,
@@ -282,7 +292,7 @@ def test_centralized_recovers_lowrank_field():
 
 def test_centralized_huge_tolerance_stops_after_one_iteration():
     field = generate_lowrank_field(10, 12, rank=2, seed=2)
-    params = Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
                          window=12, latent=2, grad_tol=1e9, seed=2)
     _, iters = solve_centralized(_full_observations(field), params,
                                  substream(2, "centralized"))
@@ -291,7 +301,7 @@ def test_centralized_huge_tolerance_stops_after_one_iteration():
 
 def test_centralized_deterministic():
     field = generate_lowrank_field(10, 12, rank=2, seed=3)
-    params = Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
                          window=12, latent=2, max_iters=300, seed=3)
     a, _ = solve_centralized(_full_observations(field), params,
                              substream(3, "centralized"))
@@ -302,7 +312,7 @@ def test_centralized_deterministic():
 
 def test_centralized_error_metric_on_recovery():
     field = generate_lowrank_field(20, 30, rank=2, seed=4)
-    params = Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
                          window=30, latent=2, max_iters=5000, seed=4)
     factors, _ = solve_centralized(_full_observations(field), params,
                                    substream(4, "centralized"))

@@ -3,6 +3,7 @@ import pytest
 
 from cswa import (FactorPair, Field, Hyperparams, LocalObservations,
                   ParameterError, ShapeError, build_window)
+from cswa import protocol
 
 
 def test_field_rejects_negative_entries():
@@ -69,6 +70,9 @@ def test_hyperparams_validation():
                     window=2, latent=3)
     with pytest.raises(ParameterError):
         Hyperparams(num_participants=0, batch_size=1, max_subareas=1,
+                    window=4, latent=1)
+    with pytest.raises(ParameterError, match="num_participants"):  # m = 1
+        Hyperparams(num_participants=1, batch_size=1, max_subareas=1,
                     window=4, latent=1)
     with pytest.raises(ParameterError):
         Hyperparams(num_participants=3, batch_size=2, max_subareas=2,
@@ -155,4 +159,5 @@ def test_factor_pair_shapes_must_agree():
 def test_factor_pair_product_and_scalar_count():
     pair = FactorPair(np.ones((4, 2)), np.ones((2, 5)))
     assert pair.product().shape == (4, 5)
-    assert pair.scalar_count() == 4 * 2 + 2 * 5
+    # a message carrying the pair transfers all its entries
+    assert protocol._factor_scalars(4, 2, 5) == pair.p.size + pair.q.size

@@ -98,7 +98,7 @@ def _draw_by_candidate_list(rng, num_participants, exclude_self, prev, current):
 
 
 @pytest.mark.parametrize("exclude_self", [True, False])
-@pytest.mark.parametrize("num_participants", range(1, 7))
+@pytest.mark.parametrize("num_participants", range(2, 7))
 def test_draw_next_matches_candidate_list(num_participants, exclude_self):
     params = _params(num_participants=num_participants, batch_size=1,
                      exclude_self=exclude_self)
