@@ -14,7 +14,7 @@ from .datagen import (CoverageSchedule, assign_coverage,
 from .errors import (CswaError, NumericError, ParameterError, ParseError,
                      ShapeError)
 from .evaluation import (AXES, METHODS, SweepRecord, SweepSpec,
-                         absolute_error, comm_bound, comm_bound_scalars,
+                         absolute_error, comm_bound,
                          compose_params, median_errors, records_to_csv,
                          run_sweep)
 from .factorization import (GradPair, gradients, init_factors, masked_loss,
@@ -37,7 +37,7 @@ __all__ = [
     "RunResult", "ShapeError", "SweepRecord", "SweepSpec",
     "TranscriptEntry", "absolute_error", "aggregate_for_baseline",
     "assign_coverage", "audit_transcript", "build_window", "comm_bound",
-    "comm_bound_scalars", "compose_params", "generate_lowrank_field",
+    "compose_params", "generate_lowrank_field",
     "gradients", "init_factors", "load_field_csv",
     "masked_loss", "mean_fill", "median_errors", "observe", "participant_step", "records_to_csv", "recover", "run_simulation",
     "run_sweep", "sgd_step", "solve_centralized", "substream",

@@ -18,7 +18,7 @@ from .model import Field, Hyperparams, LocalObservations
 from .rng import substream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageSchedule:
     """Which subareas each participant covers in each cycle of the window.
 

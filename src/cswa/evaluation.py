@@ -106,16 +106,11 @@ def absolute_error(recovered: np.ndarray, truth: np.ndarray,
     return float(diff[sel].mean())
 
 
-def comm_bound_scalars(num_subareas: int, latent: int, window: int,
-                       max_iters: int, batch_size: int) -> int:
+def comm_bound(params: Hyperparams, num_subareas: int) -> int:
     """Worst-case scalar transfers after every chain exhausts its budget,
     excluding the batch_size initialization sends (reported separately)."""
-    return (num_subareas * latent + latent * window) * max_iters * batch_size
-
-
-def comm_bound(params: Hyperparams, num_subareas: int) -> int:
-    return comm_bound_scalars(num_subareas, params.latent, params.window,
-                              params.max_iters, params.batch_size)
+    return ((num_subareas * params.latent + params.latent * params.window)
+            * params.max_iters * params.batch_size)
 
 
 def compose_params(base: Hyperparams, axis: str, value) -> Hyperparams:

@@ -25,7 +25,7 @@ def _frozen_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Ground-truth sensor readings: one row per subarea, one column per
     sensing cycle.
@@ -166,7 +166,7 @@ class Hyperparams:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalObservations:
     """One participant's masked, noisy view of the field window.
 
@@ -186,8 +186,8 @@ class LocalObservations:
     participant_id: int
     r_local: np.ndarray
     f_mask: np.ndarray
-    cells: np.ndarray = field(init=False, repr=False, compare=False)
-    readings: np.ndarray = field(init=False, repr=False, compare=False)
+    cells: np.ndarray = field(init=False, repr=False)
+    readings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.participant_id, (int, np.integer)) or self.participant_id < 0:
@@ -228,7 +228,7 @@ class LocalObservations:
         return float(self.readings.mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorPair:
     """Low-rank factors: ``p`` (subareas x latent) and ``q`` (latent x
     window). The only payload that ever travels between parties.

@@ -19,17 +19,18 @@ the identical result. A diverging run reports the lowest diverging chain
 id with that chain's own iteration, which is what running the chains one
 at a time in id order would report.
 
-Every transfer is recorded as a transcript entry. The transcript is the
-organizer-visible data flow, and :func:`audit_transcript` checks it against
-the architecture's privacy rules: no immediate back-transfer between
-participants, no organizer contact before a chain finishes, factor-sized
-payloads only.
+A run records each chain's route and final factors. The transcript, the
+organizer-visible data flow, is derived from the routes, and
+:func:`audit_transcript` checks it against the architecture's privacy
+rules: no immediate back-transfer between participants, no organizer
+contact before a chain finishes, factor-sized payloads only.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,9 @@ PAYLOAD_FINAL = "final-factors"
 # call among several chains.
 _BLOCK_BYTES = 512 * 1024
 
-# Next-hop draws a chain takes from its stream at a time once the number of
-# candidates is fixed; ``rng.integers(0, k, size=n)`` yields the same values
-# as n scalar draws, and a finished chain's stream is never read again.
+# Next-hop draws a chain takes from its stream at a time after its first
+# hop; ``rng.integers(0, k, size=n)`` yields the same values as n scalar
+# draws, and a finished chain's stream is never read again.
 _DRAW_CHUNK = 64
 
 
@@ -138,18 +139,35 @@ class AuditReport:
 class RunResult:
     """Everything a full protocol run produces.
 
-    ``recovered`` is exactly ``p_bar @ q_bar``. ``config`` echoes the
-    run's :class:`Hyperparams`, flags included, so the run can be
-    reproduced bit-for-bit from this object alone (plus the observations).
+    ``recovered`` is exactly ``p_bar @ q_bar``. ``routes[c-1]`` lists the
+    participants chain c updated at, in order. ``config`` echoes the run's
+    :class:`Hyperparams`, flags included, so the run can be reproduced
+    bit-for-bit from this object alone (plus the observations).
     """
 
     recovered: np.ndarray
     p_bar: np.ndarray
     q_bar: np.ndarray
-    per_chain_iters: tuple[int, ...]
-    transcript: tuple[TranscriptEntry, ...]
+    routes: tuple[tuple[int, ...], ...]
     converged_chains: int
     config: dict
+
+    @property
+    def per_chain_iters(self) -> tuple[int, ...]:
+        return tuple(len(route) for route in self.routes)
+
+    @cached_property
+    def transcript(self) -> tuple[TranscriptEntry, ...]:
+        """Every transfer, chain by chain: the organizer's send, one send
+        per hop, and the return to the organizer."""
+        payload = self.p_bar.size + self.q_bar.size
+        entries: list[TranscriptEntry] = []
+        for chain_id, route in enumerate(self.routes, start=1):
+            entries.extend(TranscriptEntry(chain_id, a, b, PAYLOAD_FACTORS, payload)
+                           for a, b in zip((ORGANIZER,) + route, route))
+            entries.append(TranscriptEntry(chain_id, route[-1], ORGANIZER,
+                                           PAYLOAD_FINAL, payload))
+        return tuple(entries)
 
     def scalars_transferred(self, include_init: bool = True) -> int:
         """Total real values moved over the network in this run.
@@ -158,8 +176,8 @@ class RunResult:
         leaving only participant-originated transfers (the quantity the
         worst-case bound covers).
         """
-        return sum(e.scalar_count for e in self.transcript
-                   if include_init or e.sender != ORGANIZER)
+        return (self.p_bar.size + self.q_bar.size) * sum(
+            len(route) + include_init for route in self.routes)
 
     def to_jsonable(self) -> dict:
         return {
@@ -176,29 +194,37 @@ class RunResult:
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
-def _factor_scalars(num_subareas: int, latent: int, window: int) -> int:
-    return num_subareas * latent + latent * window
+def _excluded(params: Hyperparams, prev: int | None, current: int) -> list[int]:
+    """The sorted participants a chain at ``current``, sent by ``prev``
+    (None: the organizer), may not go to next: the previous sender and, by
+    default, the current participant. When both would empty the candidate
+    set (m=2 with exclude_self), only the previous sender is excluded; this
+    degenerate fallback keeps tiny networks runnable. After a chain's first
+    hop the count is fixed."""
+    excluded = {prev, current} if params.exclude_self else {prev}
+    excluded.discard(None)
+    if len(excluded) == params.num_participants:
+        excluded = {prev}
+    return sorted(excluded)
+
+
+def _candidate(pick: int, excluded: list[int]) -> int:
+    """The id of 0-based candidate ``pick`` among all but ``excluded``."""
+    pick += 1
+    for skipped in excluded:
+        pick += pick >= skipped
+    return pick
 
 
 def _draw_next(rng: np.random.Generator, params: Hyperparams,
                prev: int | None, current: int) -> int:
-    """Uniform next-hop draw excluding the previous sender (and, by default,
-    the current participant). When both exclusions would empty the candidate
-    set (m=2 with exclude_self), only the previous sender is excluded; this
-    degenerate fallback keeps tiny networks runnable.
+    """Uniform next-hop draw over everyone but :func:`_excluded`.
 
     O(1): one ``rng.integers(0, k)`` over the k candidates, shifted past
     the sorted exclusions to the chosen participant id."""
-    num_participants = params.num_participants
-    excluded = {prev, current} if params.exclude_self else {prev}
-    excluded.discard(None)
-    if len(excluded) == num_participants:
-        excluded = {prev} - {None}
-    pick = int(rng.integers(0, num_participants - len(excluded))) + 1
-    for skipped in sorted(excluded):
-        if pick >= skipped:
-            pick += 1
-    return pick
+    excluded = _excluded(params, prev, current)
+    return _candidate(
+        int(rng.integers(0, params.num_participants - len(excluded))), excluded)
 
 
 def participant_step(msg: ChainMessage, obs: LocalObservations,
@@ -233,34 +259,32 @@ def participant_step(msg: ChainMessage, obs: LocalObservations,
     return Finished(new_factors, iteration, converged=delta <= params.grad_tol)
 
 
-def recover(finished: list[FactorPair]) -> tuple[np.ndarray, FactorPair]:
+def recover(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, FactorPair]:
     """Organizer-side recovery: arithmetic mean of the returned factor
-    pairs, then their product. Returns (recovered matrix, averaged pair)."""
-    if not finished:
+    pairs, stacked along axis 0 of ``p`` and ``q``, then their product.
+    Returns (recovered matrix, averaged pair)."""
+    if not len(p):
         raise ParameterError("recovery needs at least one returned factor pair")
-    shapes = {(f.p.shape, f.q.shape) for f in finished}
-    if len(shapes) != 1:
-        raise ShapeError(f"returned factor pairs disagree in shape: {shapes}")
-    p_bar = np.mean([f.p for f in finished], axis=0)
-    q_bar = np.mean([f.q for f in finished], axis=0)
-    averaged = FactorPair(p_bar, q_bar)
+    averaged = FactorPair(np.mean(p, axis=0), np.mean(q, axis=0))
     return averaged.product(), averaged
 
 
 def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
-               first_id: int, starts: list[int]) -> list[tuple[Finished, list[int]]]:
+               first_id: int, starts: list[int]
+               ) -> tuple[np.ndarray, np.ndarray, list[bool], list[list[int]]]:
     """Run chains ``first_id, first_id + 1, ...`` from participants
     ``starts`` to completion, stepping every live chain of the block in one
     :func:`_hop` call per round (all live chains share the round's
-    iteration). Returns each chain's :class:`Finished` and route (the
-    participants it visited, in order).
+    iteration). Returns, in chain order, the final ``p`` and ``q`` stacks,
+    whether each chain converged (rather than spending its budget), and
+    each chain's route (the participants it updated at, in order).
 
     A chain whose update is not finite retires; once the block is done, the
     lowest diverged chain id is reported with its own iteration, which is
     what running the chains one at a time in id order reports.
     """
     num_subareas, window = all_obs[0].num_subareas, params.window
-    rngs, ps, qs = [], [], []
+    rngs, ps, qs, draws = [], [], [], []
     for chain_id, start in enumerate(starts, start=first_id):
         chain_rng = substream(params.seed, "chain", chain_id)
         local_mean = all_obs[start - 1].observed_mean()
@@ -270,16 +294,14 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
         rngs.append(chain_rng)
         ps.append(factors.p)
         qs.append(factors.q)
+        # the first hop's draw: nothing reads the stream before it is due
+        first = params.num_participants - len(_excluded(params, None, start))
+        draws.append([int(chain_rng.integers(0, first))])
     p, q = np.stack(ps), np.stack(qs)
+    final_p, final_q = np.empty_like(p), np.empty_like(q)
     step = (-1.0 if params.literal_update else 1.0) * params.step_size
-    # after the first hop a chain with m >= 3 always has the same number of
-    # candidates, so its draws come from a per-chain buffer
-    exclude_self = params.exclude_self
-    candidates = params.num_participants - (2 if exclude_self else 1)
-    chunked = params.num_participants >= 3
-    draws: list[list[int]] = [[] for _ in starts]
     routes = [[start] for start in starts]
-    finished: list[Finished | None] = [None] * len(starts)
+    converged = [False] * len(starts)
     diverged: list[tuple[int, int]] = []
     live = list(range(len(starts)))   # block positions of the live chains
     iteration = 0
@@ -295,41 +317,31 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
                 diverged.append((first_id + c, iteration))
             elif d > params.grad_tol and iteration < params.max_iters:
                 route = routes[c]
-                sender = route[-2] if len(route) > 1 else None
-                current = route[-1]
-                if sender is None or not chunked:
-                    route.append(_draw_next(rngs[c], params, sender, current))
-                else:
-                    pending = draws[c]
-                    if not pending:
-                        pending.extend(reversed(rngs[c].integers(
-                            0, candidates, size=_DRAW_CHUNK).tolist()))
-                    # shift past the sorted exclusions, as _draw_next does
-                    pick = pending.pop() + 1
-                    if exclude_self:
-                        low, high = sorted((sender, current))
-                        pick += pick >= low
-                        pick += pick >= high
-                    else:
-                        pick += pick >= sender
-                    route.append(pick)
+                excluded = _excluded(params, route[-2] if len(route) > 1
+                                     else None, route[-1])
+                pending = draws[c]
+                if not pending:
+                    pending.extend(reversed(rngs[c].integers(
+                        0, params.num_participants - len(excluded),
+                        size=_DRAW_CHUNK).tolist()))
+                route.append(_candidate(pending.pop(), excluded))
                 keep.append(i)
             else:
-                finished[c] = Finished(FactorPair(p[i], q[i]), iteration,
-                                       converged=d <= params.grad_tol)
+                final_p[c], final_q[c] = p[i], q[i]
+                converged[c] = d <= params.grad_tol
         if len(keep) < len(live):
             live = [live[i] for i in keep]
             p, q = p[keep], q[keep]
     if diverged:
         chain_id, at = min(diverged)
         raise NumericError(_NON_FINITE, iteration=at, chain_id=chain_id)
-    return list(zip(finished, routes))
+    return final_p, final_q, converged, routes
 
 
 def run_simulation(all_obs: list[LocalObservations],
                    params: Hyperparams) -> RunResult:
     """Execute a full run: batch initialization, every chain to completion,
-    and recovery, recording each hop in the transcript.
+    and recovery, recording each chain's route.
 
     ``all_obs`` must hold participant 1..m in order. Each chain's random
     stream is derived from (seed, chain_id) and its starting factors are
@@ -339,7 +351,7 @@ def run_simulation(all_obs: list[LocalObservations],
 
     ``params.require_convergence`` drops chains that hit the iteration
     budget from the recovery average (they still appear in
-    iterations/transcript).
+    routes/iterations/transcript).
     """
     if len(all_obs) != params.num_participants:
         raise ParameterError(
@@ -359,7 +371,6 @@ def run_simulation(all_obs: list[LocalObservations],
             f"({params.window})")
     params.check_against(num_subareas)
 
-    payload = _factor_scalars(num_subareas, params.latent, params.window)
     organizer_rng = substream(params.seed, "organizer")
     starters = [int(j) + 1 for j in
                 organizer_rng.choice(params.num_participants,
@@ -367,33 +378,23 @@ def run_simulation(all_obs: list[LocalObservations],
 
     size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8),
                       len(starters)))
-    transcript: list[TranscriptEntry] = []
-    finishes: list[Finished] = []
-    for first in range(0, len(starters), size):
-        block = _run_block(all_obs, params, first + 1,
-                           starters[first:first + size])
-        for chain_id, (finished, route) in enumerate(block, start=first + 1):
-            transcript.extend(TranscriptEntry(chain_id, a, b, PAYLOAD_FACTORS,
-                                              payload)
-                              for a, b in zip([ORGANIZER] + route, route))
-            transcript.append(TranscriptEntry(chain_id, route[-1], ORGANIZER,
-                                              PAYLOAD_FINAL, payload))
-            finishes.append(finished)
-
-    kept = [f.factors for f in finishes
-            if f.converged or not params.require_convergence]
-    if not kept:
+    ps, qs, converged, routes = zip(*(
+        _run_block(all_obs, params, first + 1, starters[first:first + size])
+        for first in range(0, len(starters), size)))
+    converged = np.concatenate(converged)
+    kept = converged | (not params.require_convergence)
+    if not kept.any():
         raise ParameterError(
             "require_convergence dropped every chain; raise max_iters or "
             "grad_tol")
-    recovered, averaged = recover(kept)
+    recovered, averaged = recover(np.concatenate(ps)[kept],
+                                  np.concatenate(qs)[kept])
     return RunResult(
         recovered=recovered,
         p_bar=averaged.p,
         q_bar=averaged.q,
-        per_chain_iters=tuple(f.iterations for f in finishes),
-        transcript=tuple(transcript),
-        converged_chains=sum(1 for f in finishes if f.converged),
+        routes=tuple(tuple(route) for block in routes for route in block),
+        converged_chains=int(converged.sum()),
         config=params.to_dict(),
     )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cswa import (Hyperparams, ParameterError, ShapeError, SweepSpec,
-                  absolute_error, comm_bound, comm_bound_scalars,
+                  absolute_error, comm_bound,
                   compose_params, generate_lowrank_field, median_errors,
                   records_to_csv, run_sweep)
 
@@ -49,13 +49,11 @@ def test_comm_bound_worked_example():
     assert comm_bound(params, 57) == (57 * 4 + 4 * 20) * 100 * 10 == 308000
 
 
-def test_comm_bound_zero_batch():
-    assert comm_bound_scalars(57, 4, 20, 100, 0) == 0
-
-
 def test_comm_bound_linear_in_batch():
-    one = comm_bound_scalars(30, 3, 15, 500, 7)
-    two = comm_bound_scalars(30, 3, 15, 500, 14)
+    base = dict(num_participants=14, max_subareas=3, window=15, latent=3,
+                max_iters=500)
+    one = comm_bound(Hyperparams(batch_size=7, **base), 30)
+    two = comm_bound(Hyperparams(batch_size=14, **base), 30)
     assert two == 2 * one
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cswa import (FactorPair, Field, Hyperparams, LocalObservations,
-                  ParameterError, ShapeError, build_window)
+from cswa import (CoverageSchedule, FactorPair, Field, Hyperparams,
+                  LocalObservations, ParameterError, ShapeError, build_window)
 from cswa import protocol
 
 
@@ -160,4 +160,19 @@ def test_factor_pair_product_and_scalar_count():
     pair = FactorPair(np.ones((4, 2)), np.ones((2, 5)))
     assert pair.product().shape == (4, 5)
     # a message carrying the pair transfers all its entries
-    assert protocol._factor_scalars(4, 2, 5) == pair.p.size + pair.q.size
+    result = protocol.RunResult(pair.product(), pair.p, pair.q, routes=((1,),),
+                                converged_chains=1, config={})
+    assert result.scalars_transferred(include_init=False) == pair.p.size + pair.q.size
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Field(np.ones((2, 3))),
+    lambda: LocalObservations(1, np.ones((2, 3)), np.ones((2, 3))),
+    lambda: FactorPair(np.ones((2, 1)), np.ones((1, 3))),
+    lambda: CoverageSchedule(np.ones((2, 2, 3), dtype=bool)),
+], ids=["Field", "LocalObservations", "FactorPair", "CoverageSchedule"])
+def test_array_holders_compare_by_identity(make):
+    # field-wise == on arrays would raise; these compare and hash by identity
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -1,14 +1,17 @@
 """Property tests of the invariants the README claims, over small random
 configurations: every run passes the audit, communication is accounted for
-exactly, the recovered factors are finite and non-negative, ``recovered``
-is exactly ``p_bar @ q_bar``, and coverage respects its cap."""
+exactly, every chain's final factors and the averaged pair are finite and
+non-negative, ``recovered`` is exactly ``p_bar @ q_bar``, and coverage
+respects its cap."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cswa import Hyperparams, audit_transcript, generate_lowrank_field, \
-    run_simulation
+    protocol, run_simulation
 from cswa.evaluation import build_inputs
 
 
@@ -44,7 +47,17 @@ def test_run_invariants(config):
     per_cycle = schedule.covered.sum(axis=1)
     assert ((1 <= per_cycle) & (per_cycle <= params.max_subareas)).all()
 
-    result = run_simulation(observations, params)
+    run_block, blocks = protocol._run_block, []
+
+    def recording_run_block(*args):
+        blocks.append(run_block(*args))
+        return blocks[-1]
+
+    with mock.patch.object(protocol, "_run_block", recording_run_block):
+        result = run_simulation(observations, params)
+    for final_p, final_q, _, _ in blocks:
+        for factor in (final_p, final_q):
+            assert np.isfinite(factor).all() and (factor >= 0).all()
     assert audit_transcript(list(result.transcript)).passed
     payload = params.latent * (field.num_subareas + params.window)
     hops = sum(result.per_chain_iters)

@@ -9,7 +9,7 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   Hyperparams, LocalObservations, NumericError,
                   ParameterError, TranscriptEntry, aggregate_for_baseline,
                   assign_coverage, audit_transcript, generate_lowrank_field,
-                  observe, participant_step, recover,
+                  init_factors, observe, participant_step, recover,
                   run_simulation, substream)
 from cswa import protocol
 from cswa.protocol import _draw_next
@@ -124,6 +124,27 @@ def test_chunked_draws_equal_scalar_draws(k):
     assert chunked.bit_generator.state == scalar.bit_generator.state
 
 
+@pytest.mark.parametrize("exclude_self", [True, False])
+@pytest.mark.parametrize("num_participants", [2, 3, 6])
+def test_routes_replay_scalar_draws(num_participants, exclude_self):
+    # a run draws every hop after a chain's first from a 64-draw buffer, m=2
+    # included; replaying each chain's stream with one scalar draw per hop
+    # must reproduce its route
+    params = _params(num_participants=num_participants, batch_size=2,
+                     grad_tol=0.0, max_iters=150, exclude_self=exclude_self)
+    obs, _ = _make_obs(params)
+    result = run_simulation(obs, params)
+    for chain_id, route in enumerate(result.routes, start=1):
+        rng = substream(params.seed, "chain", chain_id)
+        # the same draws as the run's own init: the scale only multiplies them
+        init_factors(8, params.window, params.latent, 1.0, rng)
+        replay = [route[0]]
+        while len(replay) < params.max_iters:
+            prev = replay[-2] if len(replay) > 1 else None
+            replay.append(_draw_next(rng, params, prev, replay[-1]))
+        assert tuple(replay) == route
+
+
 def test_step_rejects_exhausted_message():
     params = _params(max_iters=10)
     obs, _ = _make_obs(params)
@@ -136,28 +157,28 @@ def test_step_rejects_exhausted_message():
 
 def test_recover_single_pair_is_its_product():
     pair = random_factors(11)
-    recovered, averaged = recover([pair])
+    recovered, averaged = recover(pair.p[None], pair.q[None])
     assert np.array_equal(recovered, pair.product())
     assert np.array_equal(averaged.p, pair.p)
 
 
 def test_recover_identical_pairs_average_to_same():
     pair = random_factors(12)
-    recovered, _ = recover([pair, pair])
+    recovered, _ = recover(np.stack([pair.p, pair.p]), np.stack([pair.q, pair.q]))
     assert np.allclose(recovered, pair.product())
 
 
 def test_recover_hand_case():
-    p1 = FactorPair(np.array([[2.0], [0.0]]), np.array([[1.0, 1.0]]))
-    p2 = FactorPair(np.array([[0.0], [2.0]]), np.array([[1.0, 1.0]]))
-    recovered, averaged = recover([p1, p2])
+    p = np.array([[[2.0], [0.0]], [[0.0], [2.0]]])
+    q = np.array([[[1.0, 1.0]], [[1.0, 1.0]]])
+    recovered, averaged = recover(p, q)
     assert np.array_equal(averaged.p, [[1.0], [1.0]])
     assert np.array_equal(recovered, [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_recover_empty_rejected():
     with pytest.raises(ParameterError):
-        recover([])
+        recover(np.empty((0, 4, 2)), np.empty((0, 2, 5)))
 
 
 # --- run_simulation ---
