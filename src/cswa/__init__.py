@@ -22,9 +22,9 @@ from .factorization import (GradPair, gradients, init_factors, masked_loss,
 from .model import (FactorPair, Field, Hyperparams, LocalObservations,
                     build_window)
 from .protocol import (ORGANIZER, AuditReport, AuditViolation, ChainMessage,
-                       Continue, Finished, RunResult, TranscriptEntry,
-                       aggregate_for_baseline, audit_transcript,
-                       participant_step, recover, run_simulation)
+                       Continue, Finished, RunResult, aggregate_for_baseline,
+                       audit_transcript, participant_step, recover,
+                       run_simulation)
 from .rng import substream
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "GradPair", "Hyperparams", "ImputeResult", "LocalObservations",
     "METHODS", "NumericError", "ORGANIZER", "ParameterError", "ParseError",
     "RunResult", "ShapeError", "SweepRecord", "SweepSpec",
-    "TranscriptEntry", "absolute_error", "aggregate_for_baseline",
+    "absolute_error", "aggregate_for_baseline",
     "assign_coverage", "audit_transcript", "build_window", "comm_bound",
     "compose_params", "generate_lowrank_field",
     "gradients", "init_factors", "load_field_csv",

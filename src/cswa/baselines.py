@@ -17,7 +17,7 @@ from .errors import ParameterError
 from .model import LocalObservations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputeResult:
     """Completion output: the filled matrix and the rounds used."""
 

@@ -24,7 +24,7 @@ from .errors import CswaError, NumericError, ParameterError, ParseError
 from .evaluation import SweepSpec, absolute_error, build_inputs, \
     median_errors, records_to_csv, run_sweep
 from .model import Field, Hyperparams, check_type
-from .protocol import TranscriptEntry, audit_transcript, run_simulation
+from .protocol import ORGANIZER, RECORD_KEYS, audit_transcript, run_simulation
 from .rng import substream
 
 @dataclass(frozen=True)
@@ -171,22 +171,14 @@ def cmd_run(config: RunConfig, audit: bool = False,
     out_path = config.out_dir / "run_result.json"
     _dump_json(doc, out_path)
     if transcript_jsonl:
-        lines = "".join(json.dumps(e.to_jsonable(), sort_keys=True) + "\n"
-                        for e in result.transcript)
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n"
+                        for record in doc["transcript"])
         (config.out_dir / "transcript.jsonl").write_text(lines)
 
     print(f"abs_error={err!r} "
           f"chains_converged={result.converged_chains}/{config.params.batch_size} "
           f"scalars={result.scalars_transferred()}")
-    if audit:
-        report = audit_transcript(list(result.transcript))
-        if report.passed:
-            print("audit=pass")
-        else:
-            first = report.violations[0]
-            print(f"audit=fail index={first.index} rule={first.rule}")
-            return 4
-    return 0
+    return cmd_audit(doc["transcript"]) if audit else 0
 
 
 def cmd_sweep(config: RunConfig, workers: int) -> int:
@@ -229,27 +221,47 @@ def cmd_sweep(config: RunConfig, workers: int) -> int:
     return 0
 
 
-def _read_transcript(path: Path) -> list[TranscriptEntry]:
-    text = path.read_text()
+def _read_transcript(path: Path) -> list[dict]:
+    """The checked records of a ``run_result.json`` or ``transcript.jsonl``;
+    a key beyond the five is left for the audit to flag."""
     try:
+        text = path.read_text()
         if path.suffix == ".jsonl":
-            entries = [json.loads(line) for line in text.splitlines() if line.strip()]
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
         else:
             doc = json.loads(text)
-            entries = doc["transcript"] if isinstance(doc, dict) else doc
-        return [TranscriptEntry.from_jsonable(e) for e in entries]
-    except (json.JSONDecodeError, KeyError, TypeError) as err:
+            records = doc["transcript"] if isinstance(doc, dict) else doc
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as err:
         raise ParseError(f"{path} does not contain a transcript: {err}") from err
+    if not isinstance(records, list) or not records:
+        raise ParseError(f"{path} holds no transcript records")
+    for index, record in enumerate(records):
+        where = f"{path}: transcript record {index}"
+        if not isinstance(record, dict):
+            raise ParseError(f"{where} is not a JSON object: {record!r}")
+        missing = [key for key in RECORD_KEYS if key not in record]
+        if missing:
+            raise ParseError(f"{where} lacks the keys {missing}")
+        try:
+            for key in ("chain_id", "scalar_count"):
+                check_type(f"{where}: {key}", record[key], "int")
+        except ParameterError as err:
+            raise ParseError(str(err)) from None
+        for key in ("from", "to"):
+            if record[key] != ORGANIZER and not (
+                    type(record[key]) is int and record[key] >= 1):
+                raise ParseError(f"{where}: {key} must be a participant id "
+                                 f">= 1 or {ORGANIZER!r}, got {record[key]!r}")
+    return records
 
 
-def cmd_audit(path: Path) -> int:
-    report = audit_transcript(_read_transcript(path))
-    if report.passed:
-        print("audit=pass")
-        return 0
+def cmd_audit(transcript: list[dict]) -> int:
+    report = audit_transcript(transcript)
     for v in report.violations:
         print(f"audit=fail index={v.index} rule={v.rule} detail={v.detail}")
-    return 4
+    if report.passed:
+        print("audit=pass")
+    return 0 if report.passed else 4
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -289,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "audit":
-            return cmd_audit(Path(args.input))
+            return cmd_audit(_read_transcript(Path(args.input)))
         doc = _load_json(args.config) if args.config else {}
         overrides = {"seed": args.seed, "out": args.out}
         if getattr(args, "end_cycle", None) is not None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,6 +43,11 @@ ORGANIZER = "organizer"
 
 PAYLOAD_FACTORS = "factors-only"
 PAYLOAD_FINAL = "final-factors"
+
+# The keys of a transcript record, the transcript's one form in memory and on
+# disk. ``from`` and ``to`` are participant ids (1-based) or ``"organizer"``.
+RECORD_KEYS = ("chain_id", "from", "to", "payload_kind", "scalar_count")
+_record_fields = itemgetter(*RECORD_KEYS)
 
 # Chains are stepped in blocks whose (S, W) residuals fill about this many
 # bytes: small enough to stay in cache, large enough to share each numpy
@@ -73,32 +78,6 @@ class ChainMessage:
         if self.prev_participant is not None and self.prev_participant < 1:
             raise ParameterError(
                 f"prev_participant must be a participant index, got {self.prev_participant!r}")
-
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One recorded transfer. ``sender``/``receiver`` are participant ids
-    (1-based) or the string ``"organizer"``."""
-
-    chain_id: int
-    sender: int | str
-    receiver: int | str
-    payload_kind: str
-    scalar_count: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "chain_id": self.chain_id,
-            "from": self.sender,
-            "to": self.receiver,
-            "payload_kind": self.payload_kind,
-            "scalar_count": self.scalar_count,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TranscriptEntry":
-        return cls(int(data["chain_id"]), data["from"], data["to"],
-                   data["payload_kind"], int(data["scalar_count"]))
 
 
 @dataclass(frozen=True)
@@ -135,7 +114,7 @@ class AuditReport:
     violations: tuple[AuditViolation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything a full protocol run produces.
 
@@ -156,18 +135,17 @@ class RunResult:
     def per_chain_iters(self) -> tuple[int, ...]:
         return tuple(len(route) for route in self.routes)
 
-    @cached_property
-    def transcript(self) -> tuple[TranscriptEntry, ...]:
-        """Every transfer, chain by chain: the organizer's send, one send
-        per hop, and the return to the organizer."""
+    @property
+    def transcript(self) -> list[dict]:
+        """Every transfer's record, chain by chain: the organizer's send,
+        one send per hop, and the return to the organizer. A new list on
+        each access."""
         payload = self.p_bar.size + self.q_bar.size
-        entries: list[TranscriptEntry] = []
-        for chain_id, route in enumerate(self.routes, start=1):
-            entries.extend(TranscriptEntry(chain_id, a, b, PAYLOAD_FACTORS, payload)
-                           for a, b in zip((ORGANIZER,) + route, route))
-            entries.append(TranscriptEntry(chain_id, route[-1], ORGANIZER,
-                                           PAYLOAD_FINAL, payload))
-        return tuple(entries)
+        return [{"chain_id": chain_id, "from": a, "to": b,
+                 "payload_kind": PAYLOAD_FINAL if b == ORGANIZER else PAYLOAD_FACTORS,
+                 "scalar_count": payload}
+                for chain_id, route in enumerate(self.routes, start=1)
+                for a, b in zip((ORGANIZER,) + route, route + (ORGANIZER,))]
 
     def scalars_transferred(self, include_init: bool = True) -> int:
         """Total real values moved over the network in this run.
@@ -187,7 +165,7 @@ class RunResult:
             "q_bar": self.q_bar.tolist(),
             "per_chain_iters": list(self.per_chain_iters),
             "converged_chains": self.converged_chains,
-            "transcript": [e.to_jsonable() for e in self.transcript],
+            "transcript": self.transcript,
         }
 
     def to_json(self) -> str:
@@ -399,50 +377,53 @@ def run_simulation(all_obs: list[LocalObservations],
     )
 
 
-def audit_transcript(transcript: list[TranscriptEntry]) -> AuditReport:
-    """Check a transcript against the architecture's privacy rules.
+def audit_transcript(transcript: list[dict]) -> AuditReport:
+    """Check a transcript's records against the architecture's privacy rules.
 
     (a) back-transfer: within a chain, no participant may send to the
         participant it just received from;
     (b) early organizer contact: a chain talks to the organizer exactly
-        once, as its final entry;
-    (c) payload: every entry is a factor payload of the run's uniform
-        factor size (a larger payload would indicate observation leakage).
+        once, as its final record;
+    (c) payload: every record has exactly the :data:`RECORD_KEYS` (another
+        key could carry observations) and a payload of the run's uniform
+        factor size (a larger one would indicate observation leakage).
 
     Revisiting a participant later in the chain is allowed; only the
     immediate sender is off-limits.
     """
     violations: list[AuditViolation] = []
-    last_in_chain: dict[int, int] = {}
-    for index, entry in enumerate(transcript):
-        last_in_chain[entry.chain_id] = index
-
-    expected_payload = transcript[0].scalar_count if transcript else 0
-    prev_entry_in_chain: dict[int, TranscriptEntry] = {}
-    for index, entry in enumerate(transcript):
-        prev = prev_entry_in_chain.get(entry.chain_id)
-        if (prev is not None
-                and isinstance(prev.sender, int) and isinstance(prev.receiver, int)
-                and entry.sender == prev.receiver and entry.receiver == prev.sender):
+    last_in_chain = {r.get("chain_id"): i for i, r in enumerate(transcript)}
+    expected_payload = transcript[0].get("scalar_count") if transcript else 0
+    prev_in_chain: dict[int, tuple] = {}   # chain id -> its last (from, to)
+    keys = frozenset(RECORD_KEYS)
+    for index, record in enumerate(transcript):
+        if record.keys() != keys:
+            violations.append(AuditViolation(
+                index, "payload",
+                f"record keys {list(record)} are not {list(RECORD_KEYS)}"))
+            continue
+        chain_id, sender, receiver, kind, count = _record_fields(record)
+        prev = prev_in_chain.get(chain_id)
+        if (prev is not None and sender == prev[1] and receiver == prev[0]
+                and isinstance(prev[0], int) and isinstance(prev[1], int)):
             violations.append(AuditViolation(
                 index, "back-transfer",
-                f"chain {entry.chain_id}: participant {entry.sender} returned "
-                f"the factors to its sender {entry.receiver}"))
-        if entry.receiver == ORGANIZER and index != last_in_chain[entry.chain_id]:
+                f"chain {chain_id}: participant {sender} returned the "
+                f"factors to its sender {receiver}"))
+        if receiver == ORGANIZER and index != last_in_chain[chain_id]:
             violations.append(AuditViolation(
                 index, "early-organizer-contact",
-                f"chain {entry.chain_id}: organizer contacted before the "
-                f"chain finished"))
-        if entry.payload_kind not in (PAYLOAD_FACTORS, PAYLOAD_FINAL):
+                f"chain {chain_id}: organizer contacted before the chain "
+                f"finished"))
+        if kind not in (PAYLOAD_FACTORS, PAYLOAD_FINAL):
+            violations.append(AuditViolation(
+                index, "payload", f"unknown payload kind {kind!r}"))
+        elif count != expected_payload:
             violations.append(AuditViolation(
                 index, "payload",
-                f"unknown payload kind {entry.payload_kind!r}"))
-        elif entry.scalar_count != expected_payload:
-            violations.append(AuditViolation(
-                index, "payload",
-                f"payload of {entry.scalar_count} scalars does not match the "
-                f"run's factor size {expected_payload}"))
-        prev_entry_in_chain[entry.chain_id] = entry
+                f"payload of {count} scalars does not match the run's factor "
+                f"size {expected_payload}"))
+        prev_in_chain[chain_id] = (sender, receiver)
     return AuditReport(passed=not violations, violations=tuple(violations))
 
 

@@ -10,7 +10,7 @@ from statistics import median
 import numpy as np
 import pytest
 
-from cswa import (Hyperparams, LocalObservations, SweepSpec, TranscriptEntry,
+from cswa import (Hyperparams, LocalObservations, SweepSpec,
                   absolute_error, aggregate_for_baseline, assign_coverage,
                   audit_transcript, comm_bound, generate_lowrank_field,
                   gradients, mean_fill, median_errors, observe,
@@ -164,16 +164,15 @@ def test_criterion_6_privacy_audit():
         obs = observe(field.values, schedule, params.noise_sigma,
                       substream(seed, "observe"))
         result = run_simulation(obs, params)
-        report = audit_transcript(list(result.transcript))
+        transcript = result.transcript
+        report = audit_transcript(transcript)
         assert report.passed, f"audit failed on seed {seed}: {report.violations}"
-        transcript = list(result.transcript)
 
     # forge an immediate back-transfer and expect the exact index back
     hop_index, hop = next(
-        (i, e) for i, e in enumerate(transcript)
-        if isinstance(e.sender, int) and isinstance(e.receiver, int))
-    forged = TranscriptEntry(hop.chain_id, hop.receiver, hop.sender,
-                             "factors-only", hop.scalar_count)
+        (i, r) for i, r in enumerate(transcript)
+        if isinstance(r["from"], int) and isinstance(r["to"], int))
+    forged = dict(hop, **{"from": hop["to"], "to": hop["from"]})
     corrupted = transcript[:hop_index + 1] + [forged] + transcript[hop_index + 1:]
     report = audit_transcript(corrupted)
     flagged = [v.index for v in report.violations if v.rule == "back-transfer"]

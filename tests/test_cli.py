@@ -244,6 +244,72 @@ def test_audit_command_fails_corrupted_transcript(tmp_path, capsys):
     assert "back-transfer" in out
 
 
+def _transcript(edit=None, index=1):
+    """A clean three-record transcript, with record ``index`` replaced by
+    ``edit(record)``."""
+    records = [
+        {"chain_id": 1, "from": "organizer", "to": 2,
+         "payload_kind": "factors-only", "scalar_count": 26},
+        {"chain_id": 1, "from": 2, "to": 5,
+         "payload_kind": "factors-only", "scalar_count": 26},
+        {"chain_id": 1, "from": 5, "to": "organizer",
+         "payload_kind": "final-factors", "scalar_count": 26},
+    ]
+    if edit is not None:
+        records[index] = edit(records[index])
+    return records
+
+
+def _without(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("name, records, code, expected", [
+    ("transcript.jsonl", _transcript(), 0, ["audit=pass"]),
+    ("transcript.jsonl", _transcript(lambda r: [1, 2]), 2,
+     ["record 1", "not a JSON object"]),
+    ("transcript.jsonl", _transcript(_without("to")), 2, ["record 1", "'to'"]),
+    ("transcript.jsonl", _transcript(_without("payload_kind")), 2,
+     ["record 1", "'payload_kind'"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, chain_id="abc")), 2,
+     ["record 1", "chain_id"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, chain_id=1.0)), 2,
+     ["record 1", "chain_id"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, scalar_count=100.5)), 2,
+     ["record 1", "scalar_count"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, scalar_count="100")), 2,
+     ["record 1", "scalar_count"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, **{"from": True})), 2,
+     ["record 1", "from"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, to=0)), 2,
+     ["record 1", "to must be a participant id"]),
+    ("transcript.jsonl", [], 2, ["no transcript records"]),
+    ("run_result.json", [], 2, ["no transcript records"]),
+    ("transcript.jsonl", b"\xff\xfe", 2, ["does not contain a transcript"]),
+    ("transcript.jsonl", _transcript(lambda r: dict(r, readings=[0.5])), 4,
+     ["index=1 rule=payload"]),
+    ("run_result.json", _transcript(lambda r: dict(r, observations=[0.5])), 4,
+     ["index=1 rule=payload"]),
+], ids=["clean", "not-an-object", "missing-to", "missing-payload-kind",
+        "chain-id-string", "chain-id-float", "scalar-count-fraction",
+        "scalar-count-string", "from-bool", "to-zero", "empty-jsonl",
+        "empty-run-result", "not-utf8", "extra-key-jsonl",
+        "extra-key-run-result"])
+def test_audit_command_checks_its_input(tmp_path, capsys, name, records, code,
+                                        expected):
+    path = tmp_path / name
+    if isinstance(records, bytes):
+        path.write_bytes(records)
+    elif name.endswith(".jsonl"):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    else:
+        path.write_text(json.dumps({"transcript": records}))
+    assert main(["audit", str(path)]) == code
+    captured = capsys.readouterr()
+    for text in expected:
+        assert text in captured.out + captured.err
+
+
 # --- config handling ---
 
 def test_unknown_config_key_rejected(tmp_path):

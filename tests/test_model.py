@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cswa import (CoverageSchedule, FactorPair, Field, Hyperparams,
-                  LocalObservations, ParameterError, ShapeError, build_window)
+                  ImputeResult, LocalObservations, ParameterError, ShapeError,
+                  build_window)
 from cswa import protocol
 
 
@@ -170,7 +171,11 @@ def test_factor_pair_product_and_scalar_count():
     lambda: LocalObservations(1, np.ones((2, 3)), np.ones((2, 3))),
     lambda: FactorPair(np.ones((2, 1)), np.ones((1, 3))),
     lambda: CoverageSchedule(np.ones((2, 2, 3), dtype=bool)),
-], ids=["Field", "LocalObservations", "FactorPair", "CoverageSchedule"])
+    lambda: protocol.RunResult(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 3)),
+                               routes=((1,),), converged_chains=1, config={}),
+    lambda: ImputeResult(np.ones((2, 3)), iterations=1),
+], ids=["Field", "LocalObservations", "FactorPair", "CoverageSchedule",
+        "RunResult", "ImputeResult"])
 def test_array_holders_compare_by_identity(make):
     # field-wise == on arrays would raise; these compare and hash by identity
     a, b = make(), make()

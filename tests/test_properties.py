@@ -58,7 +58,7 @@ def test_run_invariants(config):
     for final_p, final_q, _, _ in blocks:
         for factor in (final_p, final_q):
             assert np.isfinite(factor).all() and (factor >= 0).all()
-    assert audit_transcript(list(result.transcript)).passed
+    assert audit_transcript(result.transcript).passed
     payload = params.latent * (field.num_subareas + params.window)
     hops = sum(result.per_chain_iters)
     assert result.scalars_transferred() == (hops + params.batch_size) * payload

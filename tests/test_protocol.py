@@ -7,7 +7,7 @@ import pytest
 
 from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   Hyperparams, LocalObservations, NumericError,
-                  ParameterError, TranscriptEntry, aggregate_for_baseline,
+                  ParameterError, aggregate_for_baseline,
                   assign_coverage, audit_transcript, generate_lowrank_field,
                   init_factors, observe, participant_step, recover,
                   run_simulation, substream)
@@ -188,11 +188,10 @@ def test_single_chain_run_recovers_its_own_product():
     obs, _ = _make_obs(params)
     result = run_simulation(obs, params)
     assert result.per_chain_iters == (25,)
-    assert {e.chain_id for e in result.transcript} == {1}
+    assert {r["chain_id"] for r in result.transcript} == {1}
     assert np.array_equal(result.recovered, result.p_bar @ result.q_bar)
     # single chain: the average IS the chain's final factors
-    final = result.transcript[-1]
-    assert final.receiver == ORGANIZER
+    assert result.transcript[-1]["to"] == ORGANIZER
 
 
 def test_run_is_deterministic():
@@ -210,7 +209,7 @@ def test_init_batch_full_population():
     params = _params(num_participants=6, batch_size=6, max_iters=5)
     obs, _ = _make_obs(params)
     result = run_simulation(obs, params)
-    starters = [e.receiver for e in result.transcript if e.sender == ORGANIZER]
+    starters = [r["to"] for r in result.transcript if r["from"] == ORGANIZER]
     assert sorted(starters) == [1, 2, 3, 4, 5, 6]
 
 
@@ -219,11 +218,11 @@ def test_run_transcript_chain_structure():
     obs, _ = _make_obs(params)
     result = run_simulation(obs, params)
     for chain_id in range(1, params.batch_size + 1):
-        entries = [e for e in result.transcript if e.chain_id == chain_id]
-        assert entries[0].sender == ORGANIZER
-        assert entries[-1].receiver == ORGANIZER
-        assert entries[-1].payload_kind == "final-factors"
-        assert all(e.payload_kind == "factors-only" for e in entries[:-1])
+        entries = [r for r in result.transcript if r["chain_id"] == chain_id]
+        assert entries[0]["from"] == ORGANIZER
+        assert entries[-1]["to"] == ORGANIZER
+        assert entries[-1]["payload_kind"] == "final-factors"
+        assert all(r["payload_kind"] == "factors-only" for r in entries[:-1])
         # hops = iterations + 1 (the organizer's initial send)
         assert len(entries) == result.per_chain_iters[chain_id - 1] + 1
 
@@ -381,9 +380,9 @@ def test_run_result_json_has_no_observation_fields():
     # any field capable of holding observations
     message_fields = {f.name for f in dataclasses.fields(ChainMessage)}
     assert message_fields == {"factors", "iteration", "prev_participant"}
-    entry_fields = {f.name for f in dataclasses.fields(TranscriptEntry)}
-    assert entry_fields == {"chain_id", "sender", "receiver", "payload_kind",
-                            "scalar_count"}
+    assert all(record.keys() == {"chain_id", "from", "to", "payload_kind",
+                                 "scalar_count"}
+               for record in result.transcript)
     doc = json.loads(result.to_json())
     forbidden = {"r_local", "f_mask", "observations", "readings", "location"}
     def keys_of(node):
@@ -424,14 +423,19 @@ def test_decentralized_tracks_centralized_oracle():
 
 # --- audit_transcript ---
 
-def _well_formed_transcript():
+def _record(chain_id, sender, receiver, payload_kind, scalar_count):
+    return {"chain_id": chain_id, "from": sender, "to": receiver,
+            "payload_kind": payload_kind, "scalar_count": scalar_count}
+
+
+def _well_formed_run():
     params = _params(grad_tol=0.0, max_iters=12)
     obs, _ = _make_obs(params)
-    return list(run_simulation(obs, params).transcript)
+    return obs, params
 
 
 def test_audit_passes_well_formed_run():
-    report = audit_transcript(_well_formed_transcript())
+    report = audit_transcript(run_simulation(*_well_formed_run()).transcript)
     assert report.passed
     assert report.violations == ()
 
@@ -439,10 +443,10 @@ def test_audit_passes_well_formed_run():
 def test_audit_flags_immediate_back_transfer():
     payload = 26
     transcript = [
-        TranscriptEntry(1, ORGANIZER, 2, "factors-only", payload),
-        TranscriptEntry(1, 2, 5, "factors-only", payload),
-        TranscriptEntry(1, 5, 2, "factors-only", payload),  # back to sender
-        TranscriptEntry(1, 2, ORGANIZER, "final-factors", payload),
+        _record(1, ORGANIZER, 2, "factors-only", payload),
+        _record(1, 2, 5, "factors-only", payload),
+        _record(1, 5, 2, "factors-only", payload),  # back to sender
+        _record(1, 2, ORGANIZER, "final-factors", payload),
     ]
     report = audit_transcript(transcript)
     assert not report.passed
@@ -453,11 +457,11 @@ def test_audit_flags_immediate_back_transfer():
 def test_audit_allows_non_consecutive_revisit():
     payload = 26
     transcript = [
-        TranscriptEntry(1, ORGANIZER, 2, "factors-only", payload),
-        TranscriptEntry(1, 2, 5, "factors-only", payload),
-        TranscriptEntry(1, 5, 3, "factors-only", payload),
-        TranscriptEntry(1, 3, 2, "factors-only", payload),  # revisit of 2: fine
-        TranscriptEntry(1, 2, ORGANIZER, "final-factors", payload),
+        _record(1, ORGANIZER, 2, "factors-only", payload),
+        _record(1, 2, 5, "factors-only", payload),
+        _record(1, 5, 3, "factors-only", payload),
+        _record(1, 3, 2, "factors-only", payload),  # revisit of 2: fine
+        _record(1, 2, ORGANIZER, "final-factors", payload),
     ]
     assert audit_transcript(transcript).passed
 
@@ -465,9 +469,9 @@ def test_audit_allows_non_consecutive_revisit():
 def test_audit_flags_early_organizer_contact():
     payload = 26
     transcript = [
-        TranscriptEntry(1, ORGANIZER, 2, "factors-only", payload),
-        TranscriptEntry(1, 2, ORGANIZER, "final-factors", payload),  # early
-        TranscriptEntry(1, 2, 4, "factors-only", payload),
+        _record(1, ORGANIZER, 2, "factors-only", payload),
+        _record(1, 2, ORGANIZER, "final-factors", payload),  # early
+        _record(1, 2, 4, "factors-only", payload),
     ]
     report = audit_transcript(transcript)
     assert not report.passed
@@ -478,9 +482,9 @@ def test_audit_flags_early_organizer_contact():
 def test_audit_flags_oversized_payload():
     payload = 26
     transcript = [
-        TranscriptEntry(1, ORGANIZER, 2, "factors-only", payload),
-        TranscriptEntry(1, 2, 5, "factors-only", payload + 40),  # leak-sized
-        TranscriptEntry(1, 5, ORGANIZER, "final-factors", payload),
+        _record(1, ORGANIZER, 2, "factors-only", payload),
+        _record(1, 2, 5, "factors-only", payload + 40),  # leak-sized
+        _record(1, 5, ORGANIZER, "final-factors", payload),
     ]
     report = audit_transcript(transcript)
     assert not report.passed
@@ -488,15 +492,25 @@ def test_audit_flags_oversized_payload():
     assert report.violations[0].rule == "payload"
 
 
+def test_audit_flags_extra_record_key():
+    result = run_simulation(*_well_formed_run())
+    transcript = result.transcript
+    transcript[3]["readings"] = [0.5]   # where observations would leak
+    report = audit_transcript(transcript)
+    assert [(v.index, v.rule) for v in report.violations] == [(3, "payload")]
+    # each access builds new records, so the edit reached no later transcript
+    assert audit_transcript(result.transcript).passed
+
+
 def test_audit_interleaved_chains_judged_independently():
     payload = 26
     transcript = [
-        TranscriptEntry(1, ORGANIZER, 2, "factors-only", payload),
-        TranscriptEntry(2, ORGANIZER, 5, "factors-only", payload),
-        TranscriptEntry(1, 2, 5, "factors-only", payload),
-        TranscriptEntry(2, 5, 2, "factors-only", payload),  # fine: chain 2
-        TranscriptEntry(1, 5, ORGANIZER, "final-factors", payload),
-        TranscriptEntry(2, 2, ORGANIZER, "final-factors", payload),
+        _record(1, ORGANIZER, 2, "factors-only", payload),
+        _record(2, ORGANIZER, 5, "factors-only", payload),
+        _record(1, 2, 5, "factors-only", payload),
+        _record(2, 5, 2, "factors-only", payload),  # fine: chain 2
+        _record(1, 5, ORGANIZER, "final-factors", payload),
+        _record(2, 2, ORGANIZER, "final-factors", payload),
     ]
     assert audit_transcript(transcript).passed
 
@@ -535,7 +549,3 @@ def test_aggregate_disjoint_union():
     assert agg.r_local[0, 1] == 2.0 and agg.r_local[1, 0] == 3.0
     assert agg.f_mask[1, 1] == 0.0
 
-
-def test_transcript_entry_json_round_trip():
-    entry = TranscriptEntry(3, 2, ORGANIZER, "final-factors", 26)
-    assert TranscriptEntry.from_jsonable(entry.to_jsonable()) == entry
