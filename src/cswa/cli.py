@@ -178,7 +178,9 @@ def cmd_run(config: RunConfig, audit: bool = False,
     print(f"abs_error={err!r} "
           f"chains_converged={result.converged_chains}/{config.params.batch_size} "
           f"scalars={result.scalars_transferred()}")
-    return cmd_audit(doc["transcript"]) if audit else 0
+    if not audit:
+        return 0
+    return cmd_audit(doc["transcript"], result.p_bar.size + result.q_bar.size)
 
 
 def cmd_sweep(config: RunConfig, workers: int) -> int:
@@ -221,9 +223,24 @@ def cmd_sweep(config: RunConfig, workers: int) -> int:
     return 0
 
 
-def _read_transcript(path: Path) -> list[dict]:
-    """The checked records of a ``run_result.json`` or ``transcript.jsonl``;
-    a key beyond the five is left for the audit to flag."""
+def _matrix_size(doc: dict, key: str, path: Path) -> int:
+    """Entries of the rectangular matrix ``doc[key]`` (a list of equally
+    long lists)."""
+    rows = doc.get(key)
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(row, list) for row in rows)
+            or len({len(row) for row in rows}) != 1):
+        raise ParseError(f"{path}: {key} is not a rectangular matrix")
+    return len(rows) * len(rows[0])
+
+
+def _read_transcript(path: Path) -> tuple[list[dict], int | None]:
+    """The checked records of a ``run_result.json`` or ``transcript.jsonl``,
+    and the factor size each record's payload must have: ``p_bar.size +
+    q_bar.size`` of a run result, None (the first record's size) when the
+    document holds no factors. A key beyond the five is left for the audit
+    to flag."""
+    payload = None
     try:
         text = path.read_text()
         if path.suffix == ".jsonl":
@@ -231,6 +248,9 @@ def _read_transcript(path: Path) -> list[dict]:
         else:
             doc = json.loads(text)
             records = doc["transcript"] if isinstance(doc, dict) else doc
+            if isinstance(doc, dict) and ("p_bar" in doc or "q_bar" in doc):
+                payload = (_matrix_size(doc, "p_bar", path)
+                           + _matrix_size(doc, "q_bar", path))
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as err:
         raise ParseError(f"{path} does not contain a transcript: {err}") from err
     if not isinstance(records, list) or not records:
@@ -252,11 +272,12 @@ def _read_transcript(path: Path) -> list[dict]:
                     type(record[key]) is int and record[key] >= 1):
                 raise ParseError(f"{where}: {key} must be a participant id "
                                  f">= 1 or {ORGANIZER!r}, got {record[key]!r}")
-    return records
+    return records, payload
 
 
-def cmd_audit(transcript: list[dict]) -> int:
-    report = audit_transcript(transcript)
+def cmd_audit(transcript: list[dict],
+              expected_payload: int | None = None) -> int:
+    report = audit_transcript(transcript, expected_payload)
     for v in report.violations:
         print(f"audit=fail index={v.index} rule={v.rule} detail={v.detail}")
     if report.passed:
@@ -301,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "audit":
-            return cmd_audit(_read_transcript(Path(args.input)))
+            return cmd_audit(*_read_transcript(Path(args.input)))
         doc = _load_json(args.config) if args.config else {}
         overrides = {"seed": args.seed, "out": args.out}
         if getattr(args, "end_cycle", None) is not None:

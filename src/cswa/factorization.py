@@ -20,8 +20,15 @@ which moves *away* from the data-fit optimum; it exists only for
 side-by-side study of the two sign conventions and is off everywhere by
 default.
 
-The residual F o (R - PQ) is evaluated at the covered cells only: R - PQ
-is gathered at each participant's cached covered cells, the rest of PQ is
+The hop kernel, :meth:`_Stack.hop`, updates a stack of pairs in packed
+form: row i of ``x`` holds pair i's P (row-major) followed by its Q, so
+the regularizer, the update, the truncation, the finiteness check and the
+convergence statistic are one numpy call each for the whole stack. A
+stack makes its buffers and their views once and reuses them every hop.
+
+The residual F o (R - PQ) is evaluated at the covered cells only, through
+a :class:`GatherTable` of every participant's covered cells and readings,
+built once per run. R - PQ is gathered at the cells, the rest of PQ is
 multiplied by 0, and the gathered values are scattered back. A covered
 cell thus holds exactly 1 * (R - PQ), and an uncovered one 0 * PQ, which is
 0 for a finite product and NaN for an overflowed one, as with the dense
@@ -52,6 +59,54 @@ class GradPair:
         return float(max(np.abs(self.g_p).max(), np.abs(self.g_q).max()))
 
 
+@dataclass(frozen=True, eq=False)
+class GatherTable:
+    """Every participant's covered cells and readings, padded to one width.
+
+    Row k holds ``observations[k]``'s flat cell indices and readings. Each
+    pair's S x W residual is followed by one scratch slot, index S * W; a
+    row's padding points there with reading 0, so it changes no cell.
+    ``offsets[i]`` is where pair i's residual starts in a stack; a stack
+    holds at most as many pairs as the table has rows.
+    """
+
+    cells: np.ndarray       # (k, width) int
+    readings: np.ndarray    # (k, width) float64
+    offsets: np.ndarray     # (k, 1) int
+    num_subareas: int
+    window: int
+
+
+def gather_table(observations: Sequence[LocalObservations]) -> GatherTable:
+    """The :class:`GatherTable` of ``observations``, which share one shape."""
+    num_subareas, window = observations[0].num_subareas, observations[0].window
+    cells_per_pair = num_subareas * window
+    width = max(obs.cells.size for obs in observations)
+    cells = np.full((len(observations), width), cells_per_pair, dtype=np.intp)
+    readings = np.zeros((len(observations), width))
+    for row, obs in enumerate(observations):
+        cells[row, :obs.cells.size] = obs.cells
+        readings[row, :obs.readings.size] = obs.readings
+    offsets = np.arange(len(observations), dtype=np.intp)[:, None]
+    return GatherTable(cells, readings, offsets * (cells_per_pair + 1),
+                       num_subareas, window)
+
+
+def _pack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The packed rows of the pairs ``p`` (n, S, L) and ``q`` (n, L, W)."""
+    return np.concatenate((p.reshape(len(p), -1), q.reshape(len(q), -1)), axis=1)
+
+
+def _unpack(x: np.ndarray, num_subareas: int,
+            window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, S, L) and (n, L, W) views of packed rows ``x``."""
+    n, size = x.shape
+    latent = size // (num_subareas + window)
+    split = num_subareas * latent
+    return (x[:, :split].reshape(n, num_subareas, latent),
+            x[:, split:].reshape(n, latent, window))
+
+
 _NON_FINITE = "factor update produced non-finite entries; reduce step_size"
 
 
@@ -62,66 +117,103 @@ def _check_shapes(obs: LocalObservations, factors: FactorPair) -> None:
             f"observations ({obs.num_subareas}x{obs.window})")
 
 
-def _residuals(p: np.ndarray, q: np.ndarray,
-               observations: Sequence[LocalObservations]) -> np.ndarray:
-    """F o (R - PQ) for a stack of pairs ``p`` (n, S, L), ``q`` (n, L, W),
-    pair i against ``observations[i]``, from the observations' cached
-    ``cells`` and ``readings`` with one gather and one scatter for the whole
-    stack (see module docstring)."""
-    residual = p @ q
-    flat = residual.reshape(-1)
-    if len(observations) == 1:
-        cells, readings = observations[0].cells, observations[0].readings
-    else:
-        # pair i's cells sit at offset i * S * W of the flattened stack
-        counts = [obs.cells.size for obs in observations]
-        cells = np.concatenate([obs.cells for obs in observations])
-        cells += np.repeat(np.arange(0, flat.size, flat.size // len(counts)),
-                           counts)
-        readings = np.concatenate([obs.readings for obs in observations])
-    covered = readings - flat[cells]
-    np.multiply(residual, 0.0, out=residual)
-    flat[cells] = covered
-    return residual
+class _Stack:
+    """``n`` factor pairs stepped together on one :class:`GatherTable`,
+    with the regularizers ``reg_p`` and ``reg_q``.
 
-
-def _stacked_gradients(p: np.ndarray, q: np.ndarray,
-                       observations: Sequence[LocalObservations],
-                       reg_p: float, reg_q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(g_p, g_q) of every pair in a stack (see module docstring)."""
-    residual = _residuals(p, q, observations)
-    return (residual @ q.swapaxes(1, 2) - reg_p * p,
-            p.swapaxes(1, 2) @ residual - reg_q * q)
-
-
-def _hop(p: np.ndarray, q: np.ndarray,
-         observations: Sequence[LocalObservations],
-         reg_p: float, reg_q: float, step: float):
-    """The hop kernel: one masked update of every pair in a stack, pair i
-    on ``observations[i]``, with the signed step ``step``.
-
-    Returns (new p, new q, g_p, g_q, finite, delta): ``finite[i]`` says
-    whether pair i's new factors are all finite and ``delta[i]`` is its
-    max(|g_p|_inf, |g_q|_inf). Each pair goes through the same float
-    operations in the same order as it would alone, so the stack size
-    never changes a result.
+    ``x`` holds the pairs' packed rows (the stack keeps and overwrites the
+    array it is given, or a C-contiguous copy of it) and ``g`` their
+    gradients from the last evaluation. The buffers
+    a hop writes, and the views of each, are made once per stack, so a hop
+    allocates only what numpy's gathers and reductions return.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported in finite
-        g_p, g_q = _stacked_gradients(p, q, observations, reg_p, reg_q)
-        new_p = np.maximum(p + step * g_p, 0.0)
-        new_q = np.maximum(q + step * g_q, 0.0)
-        finite = (np.isfinite(new_p).all(axis=(1, 2))
-                  & np.isfinite(new_q).all(axis=(1, 2)))
-        delta = np.maximum(np.abs(g_p).max(axis=(1, 2)),
-                           np.abs(g_q).max(axis=(1, 2)))
-    return new_p, new_q, g_p, g_q, finite, delta
+
+    def __init__(self, x: np.ndarray, table: GatherTable, reg_p: float,
+                 reg_q: float):
+        x = np.ascontiguousarray(x)   # so that every view below aliases it
+        n, s, w = len(x), table.num_subareas, table.window
+        latent = x.shape[1] // (s + w)
+        self._table = table
+        # the regularizer of a packed row: reg_p on P, reg_q on Q
+        self._reg = np.repeat([reg_p, reg_q], [s * latent, latent * w])
+        # the current rows and the buffer the next hop writes, with views
+        self._rows = [self._views(x, s, w),
+                      self._views(np.empty_like(x), s, w)]
+        self.g = np.empty_like(x)
+        self._g_p, self._g_q = _unpack(self.g, s, w)
+        # each pair's S x W residual and its scratch slot, which stays 0
+        self._padded = np.zeros((n, s * w + 1))
+        self._flat = self._padded.reshape(-1)
+        self._residual = self._padded[:, :s * w].reshape(n, s, w)
+        self._offsets = table.offsets[:n]
+
+    @staticmethod
+    def _views(x: np.ndarray, s: int, w: int) -> tuple:
+        p, q = _unpack(x, s, w)
+        return x, p, q, p.swapaxes(1, 2), q.swapaxes(1, 2)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._rows[0][0]
+
+    def residuals(self, ids: np.ndarray) -> np.ndarray:
+        """F o (R - PQ) of pair i against table row ``ids[i]``, with one
+        gather and one scatter for the whole stack (see module docstring)."""
+        _, p, q, _, _ = self._rows[0]
+        flat = self._flat
+        np.matmul(p, q, out=self._residual)
+        cells = self._table.cells[ids]
+        cells += self._offsets
+        covered = self._table.readings[ids] - flat[cells]
+        np.multiply(self._padded, 0.0, out=self._padded)
+        flat[cells] = covered
+        return self._residual
+
+    def gradients(self, ids: np.ndarray) -> np.ndarray:
+        """The packed (g_p, g_q) of every pair (see module docstring)."""
+        x, _, _, p_t, q_t = self._rows[0]
+        residual = self.residuals(ids)
+        np.matmul(residual, q_t, out=self._g_p)
+        np.matmul(p_t, residual, out=self._g_q)
+        reg_x = self._rows[1][0]   # the next rows' buffer is free until a hop
+        np.multiply(self._reg, x, out=reg_x)
+        self.g -= reg_x
+        return self.g
+
+    @np.errstate(over="ignore", invalid="ignore")  # reported in finite
+    def hop(self, ids: np.ndarray, step: float):
+        """The hop kernel: one masked update of every pair, pair i on table
+        row ``ids[i]``, with the signed step ``step``.
+
+        Returns (finite, delta): ``finite[i]`` says whether pair i's new
+        factors are all finite and ``delta[i]`` is its max(|g_p|_inf,
+        |g_q|_inf). Each pair goes through the same float operations in the
+        same order as it would alone, so the stack size never changes a
+        result.
+        """
+        g = self.gradients(ids)
+        x, new_x = self.x, self._rows[1][0]
+        np.multiply(step, g, out=new_x)
+        np.add(x, new_x, out=new_x)
+        np.maximum(new_x, 0.0, out=new_x)
+        self._rows.reverse()
+        return np.isfinite(new_x).all(axis=1), np.abs(g).max(axis=1)
+
+
+def _one_pair(obs: LocalObservations, factors: FactorPair, reg_p: float,
+              reg_q: float) -> tuple[_Stack, np.ndarray]:
+    """A stack of one pair on ``obs``, and the ids that step it there."""
+    _check_shapes(obs, factors)
+    return (_Stack(_pack(factors.p[None], factors.q[None]),
+                   gather_table((obs,)), reg_p, reg_q),
+            np.zeros(1, dtype=np.intp))
 
 
 def masked_loss(obs: LocalObservations, factors: FactorPair,
                 reg_p: float, reg_q: float) -> float:
     """Single-participant objective value; always non-negative."""
-    _check_shapes(obs, factors)
-    residual = _residuals(factors.p[None], factors.q[None], (obs,))[0]
+    stack, ids = _one_pair(obs, factors, reg_p, reg_q)
+    residual = stack.residuals(ids)[0]
     return float(
         (residual ** 2).sum()
         + reg_p * (factors.p ** 2).sum()
@@ -133,10 +225,10 @@ def gradients(obs: LocalObservations, factors: FactorPair,
               reg_p: float, reg_q: float) -> GradPair:
     """Evaluate (g_p, g_q); equals -1/2 the analytic gradient of
     :func:`masked_loss` (see module docstring)."""
-    _check_shapes(obs, factors)
-    g_p, g_q = _stacked_gradients(factors.p[None], factors.q[None], (obs,),
-                                  reg_p, reg_q)
-    return GradPair(g_p[0], g_q[0])
+    stack, ids = _one_pair(obs, factors, reg_p, reg_q)
+    (g_p,), (g_q,) = _unpack(stack.gradients(ids), obs.num_subareas,
+                             obs.window)
+    return GradPair(g_p, g_q)
 
 
 def sgd_step(obs: LocalObservations, factors: FactorPair, step_size: float,
@@ -152,13 +244,14 @@ def sgd_step(obs: LocalObservations, factors: FactorPair, step_size: float,
     """
     if not step_size > 0:
         raise ParameterError(f"step_size must be positive, got {step_size!r}")
-    _check_shapes(obs, factors)
     sign = -1.0 if literal_update else 1.0
-    p, q, g_p, g_q, finite, _ = _hop(factors.p[None], factors.q[None], (obs,),
-                                     reg_p, reg_q, sign * step_size)
+    stack, ids = _one_pair(obs, factors, reg_p, reg_q)
+    finite, _ = stack.hop(ids, sign * step_size)
     if not finite[0]:
         raise NumericError(_NON_FINITE)
-    return FactorPair(p[0], q[0]), GradPair(g_p[0], g_q[0])
+    (p,), (q,) = _unpack(stack.x, obs.num_subareas, obs.window)
+    (g_p,), (g_q,) = _unpack(stack.g, obs.num_subareas, obs.window)
+    return FactorPair(p, q), GradPair(g_p, g_q)
 
 
 def init_factors(num_subareas: int, window: int, latent: int, scale: float,
@@ -200,14 +293,14 @@ def solve_centralized(aggregated: LocalObservations, params: Hyperparams,
     scale = (mean if mean > 0 else 1.0) / 4.0
     start = init_factors(aggregated.num_subareas, params.window,
                          params.latent, scale, rng)
-    p, q = start.p[None], start.q[None]
+    stack, ids = _one_pair(aggregated, start, params.reg_p, params.reg_q)
     iterations = 0
     for i in range(1, params.max_iters + 1):
-        p, q, _, _, finite, delta = _hop(p, q, (aggregated,), params.reg_p,
-                                         params.reg_q, params.step_size)
+        finite, delta = stack.hop(ids, params.step_size)
         if not finite[0]:
             raise NumericError(_NON_FINITE, iteration=i)
         iterations = i
         if delta[0] <= params.grad_tol:
             break
-    return FactorPair(p[0], q[0]), iterations
+    (p,), (q,) = _unpack(stack.x, aggregated.num_subareas, params.window)
+    return FactorPair(p, q), iterations

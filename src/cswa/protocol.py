@@ -11,13 +11,15 @@ Chains are logically parallel, and are simulated in blocks of consecutive
 chain ids: every live chain of a block takes its next hop in one stacked
 update, and a block runs to completion before the next one starts. The
 block holds as many chains as fit their (S, W) residuals in 512 KiB, at
-least one and at most N. Participants are stateless with respect to
-chains (factors live in the message, observations are read-only), each
-chain draws from its own stream derived from (seed, chain_id), and each
-chain's arithmetic is the same in any block, so any interleaving yields
-the identical result. A diverging run reports the lowest diverging chain
-id with that chain's own iteration, which is what running the chains one
-at a time in id order would report.
+least one and at most N; a block's factors are one packed array, a row per
+chain. Every block reads one gather table of all participants' covered
+cells and readings, built once per run. Participants are stateless with
+respect to chains (factors live in the message, observations are
+read-only), each chain draws from its own stream derived from (seed,
+chain_id), and each chain's arithmetic is the same in any block, so any
+interleaving yields the identical result. A diverging run reports the
+lowest diverging chain id with that chain's own iteration, which is what
+running the chains one at a time in id order would report.
 
 A run records each chain's route and final factors. The transcript, the
 organizer-visible data flow, is derived from the routes, and
@@ -35,7 +37,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .factorization import _NON_FINITE, _hop, init_factors, sgd_step
+from .factorization import (_NON_FINITE, GatherTable, _pack, _Stack,
+                            _unpack, gather_table, init_factors, sgd_step)
 from .model import FactorPair, Hyperparams, LocalObservations
 from .rng import substream
 
@@ -172,21 +175,23 @@ class RunResult:
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
-def _excluded(params: Hyperparams, prev: int | None, current: int) -> list[int]:
+def _excluded(params: Hyperparams, prev: int | None,
+              current: int) -> tuple[int, ...]:
     """The sorted participants a chain at ``current``, sent by ``prev``
     (None: the organizer), may not go to next: the previous sender and, by
     default, the current participant. When both would empty the candidate
     set (m=2 with exclude_self), only the previous sender is excluded; this
     degenerate fallback keeps tiny networks runnable. After a chain's first
     hop the count is fixed."""
-    excluded = {prev, current} if params.exclude_self else {prev}
-    excluded.discard(None)
-    if len(excluded) == params.num_participants:
-        excluded = {prev}
-    return sorted(excluded)
+    if prev is None:
+        return (current,) if params.exclude_self else ()
+    if (not params.exclude_self or prev == current
+            or params.num_participants == 2):
+        return (prev,)
+    return (prev, current) if prev < current else (current, prev)
 
 
-def _candidate(pick: int, excluded: list[int]) -> int:
+def _candidate(pick: int, excluded: tuple[int, ...]) -> int:
     """The id of 0-based candidate ``pick`` among all but ``excluded``."""
     pick += 1
     for skipped in excluded:
@@ -248,12 +253,13 @@ def recover(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, FactorPair]:
 
 
 def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
-               first_id: int, starts: list[int]
+               table: GatherTable, first_id: int, starts: list[int]
                ) -> tuple[np.ndarray, np.ndarray, list[bool], list[list[int]]]:
     """Run chains ``first_id, first_id + 1, ...`` from participants
     ``starts`` to completion, stepping every live chain of the block in one
-    :func:`_hop` call per round (all live chains share the round's
-    iteration). Returns, in chain order, the final ``p`` and ``q`` stacks,
+    hop of a :class:`~cswa.factorization._Stack` per round (all live chains
+    share the round's iteration) on ``table``, the gather table of
+    ``all_obs``. Returns, in chain order, the final ``p`` and ``q`` stacks,
     whether each chain converged (rather than spending its budget), and
     each chain's route (the participants it updated at, in order).
 
@@ -261,7 +267,7 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     lowest diverged chain id is reported with its own iteration, which is
     what running the chains one at a time in id order reports.
     """
-    num_subareas, window = all_obs[0].num_subareas, params.window
+    num_subareas, window = table.num_subareas, table.window
     rngs, ps, qs, draws = [], [], [], []
     for chain_id, start in enumerate(starts, start=first_id):
         chain_rng = substream(params.seed, "chain", chain_id)
@@ -275,45 +281,54 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
         # the first hop's draw: nothing reads the stream before it is due
         first = params.num_participants - len(_excluded(params, None, start))
         draws.append([int(chain_rng.integers(0, first))])
-    p, q = np.stack(ps), np.stack(qs)
-    final_p, final_q = np.empty_like(p), np.empty_like(q)
+    stack = _Stack(_pack(np.stack(ps), np.stack(qs)), table, params.reg_p,
+                   params.reg_q)
+    final_x = np.empty_like(stack.x)
+    # every later hop has a sender, and then the candidate count is the
+    # same for any (sender, current) a route can hold
+    count = params.num_participants - len(_excluded(params, 1, 2))
     step = (-1.0 if params.literal_update else 1.0) * params.step_size
     routes = [[start] for start in starts]
     converged = [False] * len(starts)
     diverged: list[tuple[int, int]] = []
     live = list(range(len(starts)))   # block positions of the live chains
+    ids = np.array(starts) - 1        # the live chains' table rows
     iteration = 0
     while live:
         iteration += 1
-        p, q, _, _, finite, delta = _hop(
-            p, q, [all_obs[routes[c][-1] - 1] for c in live],
-            params.reg_p, params.reg_q, step)
-        keep = []
+        finite, delta = stack.hop(ids, step)
+        going = iteration < params.max_iters
+        keep, nexts, done = [], [], []
         for i, (c, ok, d) in enumerate(zip(live, finite.tolist(),
                                           delta.tolist())):
             if not ok:
                 diverged.append((first_id + c, iteration))
-            elif d > params.grad_tol and iteration < params.max_iters:
+            elif going and d > params.grad_tol:
                 route = routes[c]
-                excluded = _excluded(params, route[-2] if len(route) > 1
-                                     else None, route[-1])
                 pending = draws[c]
                 if not pending:
                     pending.extend(reversed(rngs[c].integers(
-                        0, params.num_participants - len(excluded),
-                        size=_DRAW_CHUNK).tolist()))
-                route.append(_candidate(pending.pop(), excluded))
+                        0, count, size=_DRAW_CHUNK).tolist()))
+                nxt = _candidate(pending.pop(), _excluded(
+                    params, route[-2] if iteration > 1 else None, route[-1]))
+                route.append(nxt)
                 keep.append(i)
+                nexts.append(nxt - 1)
             else:
-                final_p[c], final_q[c] = p[i], q[i]
+                done.append(i)
                 converged[c] = d <= params.grad_tol
         if len(keep) < len(live):
+            if done:
+                final_x[[live[i] for i in done]] = stack.x[done]
             live = [live[i] for i in keep]
-            p, q = p[keep], q[keep]
+            if live:
+                stack = _Stack(stack.x[keep], table, params.reg_p,
+                               params.reg_q)
+        ids = np.array(nexts, dtype=np.intp)
     if diverged:
         chain_id, at = min(diverged)
         raise NumericError(_NON_FINITE, iteration=at, chain_id=chain_id)
-    return final_p, final_q, converged, routes
+    return (*_unpack(final_x, num_subareas, window), converged, routes)
 
 
 def run_simulation(all_obs: list[LocalObservations],
@@ -356,8 +371,10 @@ def run_simulation(all_obs: list[LocalObservations],
 
     size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8),
                       len(starters)))
+    table = gather_table(all_obs)
     ps, qs, converged, routes = zip(*(
-        _run_block(all_obs, params, first + 1, starters[first:first + size])
+        _run_block(all_obs, params, table, first + 1,
+                   starters[first:first + size])
         for first in range(0, len(starters), size)))
     converged = np.concatenate(converged)
     kept = converged | (not params.require_convergence)
@@ -377,7 +394,8 @@ def run_simulation(all_obs: list[LocalObservations],
     )
 
 
-def audit_transcript(transcript: list[dict]) -> AuditReport:
+def audit_transcript(transcript: list[dict],
+                     expected_payload: int | None = None) -> AuditReport:
     """Check a transcript's records against the architecture's privacy rules.
 
     (a) back-transfer: within a chain, no participant may send to the
@@ -385,15 +403,18 @@ def audit_transcript(transcript: list[dict]) -> AuditReport:
     (b) early organizer contact: a chain talks to the organizer exactly
         once, as its final record;
     (c) payload: every record has exactly the :data:`RECORD_KEYS` (another
-        key could carry observations) and a payload of the run's uniform
-        factor size (a larger one would indicate observation leakage).
+        key could carry observations) and a payload of
+        ``expected_payload`` scalars, the size of one factor pair (a larger
+        one would indicate observation leakage). Without it, the first
+        record's ``scalar_count`` is taken as the run's uniform size.
 
     Revisiting a participant later in the chain is allowed; only the
     immediate sender is off-limits.
     """
     violations: list[AuditViolation] = []
     last_in_chain = {r.get("chain_id"): i for i, r in enumerate(transcript)}
-    expected_payload = transcript[0].get("scalar_count") if transcript else 0
+    if expected_payload is None:
+        expected_payload = transcript[0].get("scalar_count") if transcript else 0
     prev_in_chain: dict[int, tuple] = {}   # chain id -> its last (from, to)
     keys = frozenset(RECORD_KEYS)
     for index, record in enumerate(transcript):

@@ -310,6 +310,43 @@ def test_audit_command_checks_its_input(tmp_path, capsys, name, records, code,
         assert text in captured.out + captured.err
 
 
+def _inflated_run_result(p_bar, q_bar):
+    """A run_result.json whose two records both claim a payload of a
+    million scalars."""
+    records = [
+        {"chain_id": 1, "from": "organizer", "to": 1,
+         "payload_kind": "factors-only", "scalar_count": 1000000},
+        {"chain_id": 1, "from": 1, "to": "organizer",
+         "payload_kind": "final-factors", "scalar_count": 1000000},
+    ]
+    return {"p_bar": p_bar, "q_bar": q_bar, "transcript": records}
+
+
+def test_audit_checks_payload_against_run_factors(tmp_path, capsys):
+    # the records agree with each other, but not with the 1x2 and 2x1
+    # factors of the run: each payload must be 2 + 2 scalars
+    path = tmp_path / "run_result.json"
+    path.write_text(json.dumps(_inflated_run_result([[0.5, 1.0]],
+                                                    [[2.0], [0.25]])))
+    assert main(["audit", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "index=0 rule=payload" in out and "index=1 rule=payload" in out
+    assert "factor size 4" in out
+
+
+@pytest.mark.parametrize("p_bar, q_bar", [
+    ([[0.5, 1.0], [2.0]], [[2.0], [0.25]]),
+    ([[0.5, 1.0]], [2.0, 0.25]),
+    ([[0.5, 1.0]], []),
+    ([[0.5, 1.0]], None),
+], ids=["ragged", "not-nested", "empty", "null"])
+def test_audit_rejects_non_rectangular_factors(tmp_path, capsys, p_bar, q_bar):
+    path = tmp_path / "run_result.json"
+    path.write_text(json.dumps(_inflated_run_result(p_bar, q_bar)))
+    assert main(["audit", str(path)]) == 2
+    assert "is not a rectangular matrix" in capsys.readouterr().err
+
+
 # --- config handling ---
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -6,9 +6,19 @@ from cswa import (FactorPair, Hyperparams, LocalObservations, NumericError,
                   gradients, init_factors, masked_loss, sgd_step,
                   solve_centralized, substream)
 from cswa.evaluation import absolute_error
-from cswa.factorization import _hop
+from cswa.factorization import _pack, _Stack, _unpack, gather_table
 
 from conftest import finite_difference_grads, random_factors, random_observations
+
+
+def hop_each(p, q, observations, reg_p, reg_q, step):
+    """One hop of pair i = (p[i], q[i]) on ``observations[i]``, with the
+    packed factors and gradients split into (new p, new q, g_p, g_q,
+    finite, delta)."""
+    s, w = p.shape[1], q.shape[2]
+    stack = _Stack(_pack(p, q), gather_table(observations), reg_p, reg_q)
+    finite, delta = stack.hop(np.arange(len(p)), step)
+    return (*_unpack(stack.x, s, w), *_unpack(stack.g, s, w), finite, delta)
 
 
 # --- masked_loss ---
@@ -106,7 +116,7 @@ def truncate(pair: FactorPair) -> FactorPair:
     hop's Truncate step."""
     shape = (pair.p.shape[0], pair.q.shape[1])
     nothing = LocalObservations(1, np.zeros(shape), np.zeros(shape))
-    p, q, *_ = _hop(pair.p[None], pair.q[None], (nothing,), 0.0, 0.0, 0.5)
+    p, q, *_ = hop_each(pair.p[None], pair.q[None], (nothing,), 0.0, 0.0, 0.5)
     return FactorPair(p[0], q[0])
 
 
@@ -227,7 +237,7 @@ def test_hop_matches_dense_reference(seed):
     p = rng.random((n, s, l)) * (rng.random((n, s, l)) < 0.8)
     q = rng.random((n, l, w)) * (rng.random((n, l, w)) < 0.8)
     for step in (1e-2, -1e-2):
-        _assert_identical(_hop(p, q, observations, 1e-3, 2e-3, step),
+        _assert_identical(hop_each(p, q, observations, 1e-3, 2e-3, step),
                           _dense_hop(p, q, observations, 1e-3, 2e-3, step))
 
 
@@ -241,9 +251,36 @@ def test_hop_overflow_at_uncovered_cell_is_not_finite():
     p = np.ones((2, 3, 2))
     q = np.ones((2, 2, 4))
     p[0, 0, 0] = q[0, 0, 0] = 1e300
-    got = _hop(p, q, observations, 1e-4, 1e-4, 1e-3)
+    got = hop_each(p, q, observations, 1e-4, 1e-4, 1e-3)
     _assert_identical(got, _dense_hop(p, q, observations, 1e-4, 1e-4, 1e-3))
     assert got[4].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("ids", [[0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0, 2],
+                                 [1]])
+def test_hop_reads_padded_table_rows(ids, order):
+    # the table pads an empty and a one-cell participant to a full one's
+    # width; a stack may read its rows in any order, more than once, or
+    # not all of them, and reuses its buffers from hop to hop, whatever
+    # the memory order of the rows it is given
+    rng = np.random.default_rng(len(ids) * 10 + ids[0])
+    s, w, l = 4, 7, 2
+    one_cell = np.zeros((s, w))
+    one_cell[s - 1, w // 2] = 1.0
+    pool = [LocalObservations(j + 1, mask * rng.random((s, w)) * 3.0, mask)
+            for j, mask in enumerate((np.zeros((s, w)), one_cell,
+                                      np.ones((s, w))))]
+    p = rng.random((len(ids), s, l))
+    q = rng.random((len(ids), l, w))
+    stack = _Stack(np.asarray(_pack(p, q), order=order), gather_table(pool),
+                   1e-3, 2e-3)
+    for step in (1e-2, -1e-2, 1e-2):
+        want = _dense_hop(p, q, [pool[i] for i in ids], 1e-3, 2e-3, step)
+        finite, delta = stack.hop(np.array(ids), step)
+        _assert_identical((*_unpack(stack.x, s, w), *_unpack(stack.g, s, w),
+                           finite, delta), want)
+        p, q = want[0], want[1]
 
 
 # --- init_factors ---

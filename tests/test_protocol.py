@@ -12,7 +12,8 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   init_factors, observe, participant_step, recover,
                   run_simulation, substream)
 from cswa import protocol
-from cswa.protocol import _draw_next
+from cswa.factorization import gather_table
+from cswa.protocol import _draw_next, _excluded
 
 from conftest import random_factors
 
@@ -109,6 +110,30 @@ def test_draw_next_matches_candidate_list(num_participants, exclude_self):
                 assert (_draw_next(fast, params, prev, current)
                         == _draw_by_candidate_list(slow, num_participants,
                                                    exclude_self, prev, current))
+
+
+def _excluded_by_set(num_participants, exclude_self, prev, current):
+    # the exclusion rule spelled out with a set and a sort
+    excluded = {prev, current} if exclude_self else {prev}
+    excluded.discard(None)
+    if len(excluded) == num_participants:
+        excluded = {prev}
+    return sorted(excluded)
+
+
+@pytest.mark.parametrize("exclude_self", [True, False])
+@pytest.mark.parametrize("num_participants", range(2, 7))
+def test_excluded_matches_set_rule(num_participants, exclude_self):
+    # every (prev, current), prev == current included: the m=2 fallback
+    # makes routes such as 1, 2, 2
+    params = _params(num_participants=num_participants, batch_size=1,
+                     exclude_self=exclude_self)
+    for prev in [None, *range(1, num_participants + 1)]:
+        for current in range(1, num_participants + 1):
+            got = _excluded(params, prev, current)
+            assert type(got) is tuple
+            assert list(got) == _excluded_by_set(num_participants,
+                                                 exclude_self, prev, current)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 198, 1000, 2**31 + 5])
@@ -372,6 +397,23 @@ def test_run_independent_of_block_size(monkeypatch, exclude_self):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_gather_table_built_once_per_run(monkeypatch):
+    # one table serves every block of a run, however many blocks there are
+    params = _params(num_participants=9, batch_size=7, max_iters=30)
+    obs, _ = _make_obs(params)
+    expected = run_simulation(obs, params).to_json()
+    built = []
+
+    def counting_gather_table(observations):
+        built.append(len(observations))
+        return gather_table(observations)
+
+    monkeypatch.setattr(protocol, "gather_table", counting_gather_table)
+    monkeypatch.setattr(protocol, "_BLOCK_BYTES", 1)   # one chain per block
+    assert run_simulation(obs, params).to_json() == expected
+    assert built == [params.num_participants]
+
+
 def test_run_result_json_has_no_observation_fields():
     params = _params(max_iters=10)
     obs, _ = _make_obs(params)
@@ -490,6 +532,19 @@ def test_audit_flags_oversized_payload():
     assert not report.passed
     assert report.violations[0].index == 1
     assert report.violations[0].rule == "payload"
+
+
+def test_audit_checks_payload_against_expected_size():
+    # every record agrees with the first, so only the expected size shows
+    # that all of them are inflated
+    result = run_simulation(*_well_formed_run())
+    size = result.p_bar.size + result.q_bar.size
+    assert audit_transcript(result.transcript, size).passed
+    inflated = [dict(r, scalar_count=1000000) for r in result.transcript]
+    assert audit_transcript(inflated).passed
+    report = audit_transcript(inflated, size)
+    assert len(report.violations) == len(inflated)
+    assert {v.rule for v in report.violations} == {"payload"}
 
 
 def test_audit_flags_extra_record_key():
