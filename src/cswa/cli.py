@@ -1,10 +1,11 @@
 """Command-line entry point: ``generate``, ``run``, ``sweep``, ``audit``.
 
 Configuration is a single flat JSON document plus command-line overrides
-(flag > config file > default). Its run-parameter keys, their defaults and
-their types are the fields of :class:`cswa.model.Hyperparams`. All
-randomness flows from the one seed via named sub-streams, so every artifact
-embeds enough (its config echo) to be reproduced bit-for-bit.
+(flag > config file > default). Its keys, defaults and types are the
+fields of :class:`cswa.model.Hyperparams` and those of :class:`RunConfig`
+after ``params``. All randomness flows from the one seed via named
+sub-streams, so every artifact embeds enough (its config echo, itself a
+valid config) to be reproduced bit-for-bit.
 
 Exit codes: 0 success, 2 usage/config error, 3 numeric divergence,
 4 audit failure.
@@ -27,28 +28,43 @@ from .model import Field, Hyperparams, check_type
 from .protocol import ORGANIZER, RECORD_KEYS, audit_transcript, run_simulation
 from .rng import substream
 
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one command invocation."""
+    """Validated configuration for one command invocation. Each field after
+    ``params`` is one of the CLI's own config keys, with its default; the
+    first type of its annotation is the key's :func:`check_type` kind."""
 
     params: Hyperparams
-    synthetic: dict | None        # {"num_subareas", "num_cycles", "rank"}
-    field_csv: str | None
-    end_cycle: int | None
-    out_dir: Path
-    unit: str
-    missing_only_error: bool
-    sweep: dict | None            # {"axis", "values", "seeds", "methods"}
+    synthetic: dict | None = None    # {"num_subareas", "num_cycles", "rank"}
+    field_csv: str | None = None
+    end_cycle: int | None = None
+    out: str = "."
+    unit: str = ""
+    missing_only_error: bool = False
+    sweep: dict | None = None        # {"axis", "values", "seeds", "methods"}
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) is not None:
+                check_type(f.name, getattr(self, f.name), f.type.split(" | ")[0])
+        # echoed as a normalized path: "out/" and "./out" echo "out"
+        object.__setattr__(self, "out", str(Path(self.out)))
+
+    def out_dir(self) -> Path:
+        """The output directory, made if absent."""
+        path = Path(self.out)
+        path.mkdir(parents=True, exist_ok=True)
+        return path
 
     def echo(self) -> dict:
+        """The whole config as JSON, itself a valid config."""
         return dict(self.params.to_dict(),
-                    synthetic=self.synthetic,
-                    field_csv=self.field_csv,
-                    end_cycle=self.end_cycle,
-                    out=str(self.out_dir),
-                    unit=self.unit,
-                    missing_only_error=self.missing_only_error,
-                    sweep=self.sweep)
+                    **{f.name: getattr(self, f.name) for f in fields(self)[1:]})
+
+
+# every config key: the run parameters, then the CLI's own
+_SCHEMA = fields(Hyperparams) + fields(RunConfig)[1:]
 
 
 def _load_json(path: str) -> dict:
@@ -65,59 +81,38 @@ def _load_json(path: str) -> dict:
 
 
 def build_config(doc: dict, overrides: dict) -> RunConfig:
-    """Merge a config document and CLI overrides (highest wins); the
-    Hyperparams fields supply the run-parameter keys and defaults."""
-    merged = dict(doc)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-
-    schema = fields(Hyperparams)
-    known = {f.name for f in schema} | {
-        "synthetic", "field_csv", "end_cycle", "out", "unit",
-        "missing_only_error", "sweep"}
-    unknown = sorted(set(merged) - known)
+    """Merge a config document and CLI overrides (highest wins; a None
+    override is not given). The keys, defaults and kinds are the fields of
+    Hyperparams and RunConfig; null for a RunConfig key means its default."""
+    merged = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+    unknown = sorted(set(merged) - {f.name for f in _SCHEMA})
     if unknown:
         raise ParameterError(f"unknown config keys: {unknown}")
-    missing = [f.name for f in schema
+    missing = [f.name for f in fields(Hyperparams)
                if f.default is MISSING and f.name not in merged]
     if missing:
         raise ParameterError(f"missing config keys: {missing}")
-    params = Hyperparams(**{f.name: merged[f.name] for f in schema
+    params = Hyperparams(**{f.name: merged[f.name] for f in fields(Hyperparams)
                             if f.name in merged})
+    config = RunConfig(params, **{f.name: merged[f.name]
+                                  for f in fields(RunConfig)[1:]
+                                  if merged.get(f.name) is not None})
 
-    synthetic = merged.get("synthetic")
-    field_csv = merged.get("field_csv")
-    if (synthetic is None) == (field_csv is None):
+    synthetic = config.synthetic
+    if (synthetic is None) == (config.field_csv is None):
         raise ParameterError(
             "exactly one field source required: 'synthetic' "
             "{num_subareas,num_cycles,rank} or 'field_csv'")
     if synthetic is not None:
         required = {"num_subareas", "num_cycles", "rank"}
-        if not isinstance(synthetic, dict) or set(synthetic) != required:
+        if set(synthetic) != required:
             raise ParameterError(
                 f"synthetic spec must have exactly the keys {sorted(required)}")
         for key, value in synthetic.items():
             check_type(f"synthetic.{key}", value, "int")
         # known dimensions: fail before any field is built
         params.check_against(synthetic["num_subareas"])
-
-    for key, kind in (("end_cycle", "int"), ("field_csv", "str"),
-                      ("out", "str"), ("unit", "str")):
-        if merged.get(key) is not None:
-            check_type(key, merged[key], kind)
-    missing_only_error = merged.get("missing_only_error", False)
-    check_type("missing_only_error", missing_only_error, "bool")
-    return RunConfig(
-        params=params,
-        synthetic=synthetic,
-        field_csv=field_csv,
-        end_cycle=merged.get("end_cycle"),
-        out_dir=Path(merged.get("out") or "."),
-        unit=merged.get("unit") or "",
-        missing_only_error=missing_only_error,
-        sweep=merged.get("sweep"),
-    )
+    return config
 
 
 def _build_field(config: RunConfig) -> Field:
@@ -135,16 +130,16 @@ def _dump_json(doc: dict, path: Path) -> None:
 def cmd_generate(config: RunConfig) -> int:
     if config.synthetic is None:
         raise ParameterError("generate requires a 'synthetic' field spec")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    out = config.out_dir()
     field = _build_field(config)
-    field_path = config.out_dir / "field.csv"
+    field_path = out / "field.csv"
     write_field_csv(field, field_path)
 
     params = config.params
     params.check_against(field.num_subareas)
     schedule = assign_coverage(params, field.num_subareas,
                                substream(params.seed, "coverage"))
-    schedule_path = config.out_dir / "schedule.json"
+    schedule_path = out / "schedule.json"
     _dump_json({"config": config.echo(), "schedule": schedule.to_jsonable()},
                schedule_path)
     print(f"wrote {field_path} and {schedule_path}")
@@ -167,13 +162,12 @@ def cmd_run(config: RunConfig, audit: bool = False,
             absolute_error(result.recovered, window, where=uncovered)
             if uncovered.any() else None)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "run_result.json"
-    _dump_json(doc, out_path)
+    out = config.out_dir()
+    _dump_json(doc, out / "run_result.json")
     if transcript_jsonl:
         lines = "".join(json.dumps(record, sort_keys=True) + "\n"
                         for record in doc["transcript"])
-        (config.out_dir / "transcript.jsonl").write_text(lines)
+        (out / "transcript.jsonl").write_text(lines)
 
     print(f"abs_error={err!r} "
           f"chains_converged={result.converged_chains}/{config.params.batch_size} "
@@ -183,13 +177,13 @@ def cmd_run(config: RunConfig, audit: bool = False,
     return cmd_audit(doc["transcript"], result.p_bar.size + result.q_bar.size)
 
 
-def cmd_sweep(config: RunConfig, workers: int) -> int:
+def cmd_sweep(config: RunConfig) -> int:
     if config.sweep is None:
         raise ParameterError("sweep requires a 'sweep' config section "
                              "{axis, values, seeds, methods}")
     section = config.sweep
-    required = {"axis", "values", "seeds", "methods"}
-    if not isinstance(section, dict) or set(section) != required:
+    required = {f.name for f in fields(SweepSpec)[1:]}
+    if set(section) != required:
         raise ParameterError(f"sweep section must have exactly the keys "
                              f"{sorted(required)}, got {section!r}")
     check_type("sweep.axis", section["axis"], "str")
@@ -200,15 +194,14 @@ def cmd_sweep(config: RunConfig, workers: int) -> int:
                      seeds=tuple(section["seeds"]),
                      methods=tuple(section["methods"]))
     field = _build_field(config)
-    records = run_sweep(spec, field, end_cycle=config.end_cycle,
-                        max_workers=workers)
+    records = run_sweep(spec, field, end_cycle=config.end_cycle)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = config.out_dir / "sweep.csv"
+    out = config.out_dir()
+    csv_path = out / "sweep.csv"
     csv_path.write_text(records_to_csv(records))
     _dump_json({"config": config.echo(),
                 "records": [r.to_jsonable() for r in records]},
-               config.out_dir / "sweep.json")
+               out / "sweep.json")
 
     medians = median_errors(records)
     print(f"axis={spec.axis}  median abs_error by value and method")
@@ -296,22 +289,19 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory override")
 
-    gen = sub.add_parser("generate", help="write a synthetic field CSV and schedule")
-    common(gen)
+    common(sub.add_parser("generate",
+                          help="write a synthetic field CSV and schedule"))
 
     run = sub.add_parser("run", help="one full decentralized recovery run")
     common(run)
-    run.add_argument("--end-cycle", type=int, dest="end_cycle",
+    run.add_argument("--end-cycle", type=int,
                      help="last cycle of the recovered window (default: latest)")
     run.add_argument("--audit", action="store_true",
                      help="audit the transcript after the run")
     run.add_argument("--transcript", action="store_true",
                      help="also write transcript.jsonl")
 
-    sweep = sub.add_parser("sweep", help="factor sweep over methods and seeds")
-    common(sweep)
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep cells (default 1)")
+    common(sub.add_parser("sweep", help="factor sweep over methods and seeds"))
 
     audit = sub.add_parser("audit", help="audit a stored run or transcript")
     audit.add_argument("input", help="run_result.json or transcript.jsonl")
@@ -324,17 +314,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "audit":
             return cmd_audit(*_read_transcript(Path(args.input)))
         doc = _load_json(args.config) if args.config else {}
-        overrides = {"seed": args.seed, "out": args.out}
-        if getattr(args, "end_cycle", None) is not None:
-            overrides["end_cycle"] = args.end_cycle
-        config = build_config(doc, overrides)
+        config = build_config(doc, {f.name: getattr(args, f.name, None)
+                                    for f in _SCHEMA})
         if args.command == "generate":
             return cmd_generate(config)
         if args.command == "run":
             return cmd_run(config, audit=args.audit,
                            transcript_jsonl=args.transcript)
         if args.command == "sweep":
-            return cmd_sweep(config, workers=args.workers)
+            return cmd_sweep(config)
         raise ParameterError(f"unknown command {args.command!r}")
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)

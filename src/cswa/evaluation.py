@@ -199,6 +199,9 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
     once and shared by all its methods, keeping comparisons paired; the
     pairs are what run concurrently.
     """
+    check_type("max_workers", max_workers, "int")
+    if max_workers < 1:
+        raise ParameterError(f"max_workers must be at least 1, got {max_workers}")
     pairs = [(value, seed) for value in spec.values for seed in spec.seeds]
 
     def run(pair):

@@ -67,9 +67,9 @@ def check_type(name: str, value, kind: str) -> None:
     """Raise :class:`ParameterError` naming ``name`` unless ``value`` is of
     ``kind``: ``"int"`` (an integer, not a bool), ``"float"`` (a finite real
     number, not a bool), ``"bool"`` (a real bool, not a truthy value),
-    ``"str"`` or ``"list"``."""
-    if kind in ("str", "list"):
-        ok = isinstance(value, {"str": str, "list": list}[kind])
+    ``"str"``, ``"list"`` or ``"dict"``."""
+    if kind in ("str", "list", "dict"):
+        ok = isinstance(value, {"str": str, "list": list, "dict": dict}[kind])
     elif kind == "bool":
         ok = isinstance(value, bool)
     elif isinstance(value, bool):
@@ -81,7 +81,7 @@ def check_type(name: str, value, kind: str) -> None:
     if not ok:
         wanted = {"int": "an integer", "float": "a finite number",
                   "bool": "true or false", "str": "a string",
-                  "list": "a list"}[kind]
+                  "list": "a list", "dict": "an object"}[kind]
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
 
 

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from cswa import Hyperparams
 from cswa.cli import main
 
 
@@ -96,6 +102,35 @@ def test_cli_artifacts_match_golden_digests(tmp_path, monkeypatch):
     assert digests == _GOLDEN_ARTIFACTS
 
 
+def test_config_echo_reproduces_run_and_sweep(tmp_path, monkeypatch):
+    # the echo of every artifact is a complete config: fed back in, it
+    # reproduces the artifact
+    monkeypatch.chdir(tmp_path)
+    doc = _run_config(tmp_path, max_iters=40, window=10, end_cycle=25,
+                      out="out", unit="ppm", missing_only_error=True)
+    doc["sweep"] = {"axis": "m", "values": [4, 8], "seeds": [0, 1],
+                    "methods": ["cswa", "meanfill"]}
+    config = _write_config(tmp_path, doc)
+
+    assert main(["run", "--config", config, "--transcript"]) == 0
+    first = (tmp_path / "out" / "run_result.json").read_bytes()
+    echo = json.loads(first)["config"]
+    assert set(echo) == set(doc) | {"field_csv"} | {
+        f.name for f in fields(Hyperparams)}
+    echo_config = _write_config(tmp_path, echo, "echo.json")
+    assert main(["run", "--config", echo_config]) == 0
+    assert (tmp_path / "out" / "run_result.json").read_bytes() == first
+
+    assert main(["sweep", "--config", config]) == 0
+    first = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    config = _write_config(tmp_path, first["config"], "echo.json")
+    assert main(["sweep", "--config", config]) == 0
+    second = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    strip_wall = lambda doc: [dict(r, wall_ms=None) for r in doc["records"]]
+    assert strip_wall(first) == strip_wall(second)
+    assert first["config"] == second["config"]
+
+
 # --- run ---
 
 def test_run_zero_noise_full_coverage(tmp_path, capsys):
@@ -185,7 +220,7 @@ def test_sweep_csv_identical_across_invocations(tmp_path, capsys):
     strip_wall = lambda text: [line.rsplit(",", 1)[0]
                                for line in text.strip().splitlines()]
     first = strip_wall((tmp_path / "out" / "sweep.csv").read_text())
-    assert main(["sweep", "--config", config, "--workers", "3"]) == 0
+    assert main(["sweep", "--config", config]) == 0
     second = strip_wall((tmp_path / "out" / "sweep.csv").read_text())
     # wall_ms is the only column allowed to differ between invocations
     assert first == second
@@ -429,3 +464,22 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert main(["run", "--config", config]) == 3
     err = capsys.readouterr().err
     assert "chain" in err and "iteration" in err
+
+
+# --- entry points ---
+
+def test_module_entry_point(tmp_path):
+    doc = _run_config(tmp_path, max_iters=20, out="out")
+    _write_config(tmp_path, doc, "c.json")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cswa = lambda *args: subprocess.run(
+        [sys.executable, "-m", "cswa", *args, "--config", "c.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    run = cswa("run", "--audit")
+    assert run.returncode == 0, run.stderr
+    assert "audit=pass" in run.stdout
+    # the sweep has no worker count: it always runs one cell at a time
+    sweep = cswa("sweep", "--workers", "2")
+    assert sweep.returncode == 2
+    assert "--workers" in sweep.stderr

@@ -1,10 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from cswa import (CoverageSchedule, Hyperparams, ParameterError, ParseError,
-                  assign_coverage, generate_lowrank_field, load_field_csv,
+from cswa import (CoverageSchedule, Field, Hyperparams, ParameterError,
+                  ParseError, assign_coverage, generate_lowrank_field, load_field_csv,
                   observe, substream, write_field_csv)
 
 
@@ -229,9 +234,21 @@ def test_load_field_csv_malformed(tmp_path):
         load_field_csv(non_numeric)
 
 
-def test_field_csv_round_trip(tmp_path):
-    field = generate_lowrank_field(7, 9, rank=3, seed=13)
-    path = tmp_path / "field.csv"
-    write_field_csv(field, path)
-    again = load_field_csv(path)
-    assert np.array_equal(field.values, again.values)
+# finite, non-negative cells, with zero, subnormals and values near 1e300
+# drawn often enough to appear in every run
+_CELLS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.5e-310, 1e300, 9.999999999999999e299]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+              elements=_CELLS))
+def test_field_csv_round_trip(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        write_field_csv(Field(values), first)
+        again = load_field_csv(first)
+        write_field_csv(again, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert np.array_equal(values, again.values)

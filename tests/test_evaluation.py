@@ -118,6 +118,15 @@ def test_sweep_concurrent_matches_sequential():
     assert strip(sequential) == strip(concurrent)
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+def test_sweep_rejects_worker_count_below_one(workers):
+    field = generate_lowrank_field(12, 10, rank=2, seed=3)
+    spec = SweepSpec(base=_base(), axis="l", values=(1,), seeds=(0,),
+                     methods=("meanfill",))
+    with pytest.raises(ParameterError, match="max_workers"):
+        run_sweep(spec, field, max_workers=workers)
+
+
 def test_sweep_observations_shared_across_methods():
     # paired comparison: for a given (value, seed), every method sees the
     # same observations, so meanfill's result is method-order independent
