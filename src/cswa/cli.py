@@ -153,20 +153,19 @@ def cmd_run(config: RunConfig, audit: bool = False,
     result = run_simulation(all_obs, config.params)
     err = absolute_error(result.recovered, window)
 
-    doc = result.to_jsonable()
-    doc["config"] = config.echo()
-    doc["abs_error"] = err
+    extra = {"config": config.echo(), "abs_error": err}
     if config.missing_only_error:
         uncovered = schedule.union_mask() == 0.0
-        doc["missing_only_abs_error"] = (
+        extra["missing_only_abs_error"] = (
             absolute_error(result.recovered, window, where=uncovered)
             if uncovered.any() else None)
 
     out = config.out_dir()
-    _dump_json(doc, out / "run_result.json")
+    (out / "run_result.json").write_text(result.to_json(**extra) + "\n")
+    transcript = result.transcript
     if transcript_jsonl:
         lines = "".join(json.dumps(record, sort_keys=True) + "\n"
-                        for record in doc["transcript"])
+                        for record in transcript)
         (out / "transcript.jsonl").write_text(lines)
 
     print(f"abs_error={err!r} "
@@ -174,7 +173,7 @@ def cmd_run(config: RunConfig, audit: bool = False,
           f"scalars={result.scalars_transferred()}")
     if not audit:
         return 0
-    return cmd_audit(doc["transcript"], result.p_bar.size + result.q_bar.size)
+    return cmd_audit(transcript, result.p_bar.size + result.q_bar.size)
 
 
 def cmd_sweep(config: RunConfig) -> int:

@@ -122,7 +122,12 @@ class Hyperparams:
 
     def __post_init__(self):
         for f in fields(self):
-            check_type(f.name, getattr(self, f.name), f.type)
+            value = getattr(self, f.name)
+            check_type(f.name, value, f.type)
+            # an accepted numpy scalar becomes the Python int or float it
+            # holds, so the config echo stays plain JSON
+            if isinstance(value, np.generic):
+                object.__setattr__(self, f.name, value.item())
         for name in ("num_participants", "batch_size", "max_subareas",
                      "window", "latent", "max_iters"):
             v = getattr(self, name)

@@ -52,6 +52,11 @@ PAYLOAD_FINAL = "final-factors"
 RECORD_KEYS = ("chain_id", "from", "to", "payload_kind", "scalar_count")
 _record_fields = itemgetter(*RECORD_KEYS)
 
+# A record as ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+# writes it, with a named %-slot for each value's JSON text.
+_RECORD_TEMPLATE = "{%s}" % ",".join(
+    f"{json.dumps(key)}:%({key})s" for key in sorted(RECORD_KEYS))
+
 # Chains are stepped in blocks whose (S, W) residuals fill about this many
 # bytes: small enough to stay in cache, large enough to share each numpy
 # call among several chains.
@@ -160,19 +165,43 @@ class RunResult:
         return (self.p_bar.size + self.q_bar.size) * sum(
             len(route) + include_init for route in self.routes)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "config": self.config,
-            "recovered": self.recovered.tolist(),
-            "p_bar": self.p_bar.tolist(),
-            "q_bar": self.q_bar.tolist(),
-            "per_chain_iters": list(self.per_chain_iters),
-            "converged_chains": self.converged_chains,
-            "transcript": self.transcript,
-        }
+    def to_json(self, **extra) -> str:
+        """The run as one compact JSON document with sorted keys: the
+        config echo, ``recovered``, the averaged factors, the per-chain
+        iterations, the converged count and the transcript, plus the
+        ``extra`` top-level keys (which replace a field of the same name).
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        Only the head goes through :func:`json.dumps`; the ``transcript``
+        array, the last key in sorted order, is written straight from the
+        routes, byte for byte as ``json.dumps`` writes :attr:`transcript`.
+        """
+        late = sorted(key for key in extra if key >= "transcript")
+        if late:
+            raise ParameterError(
+                f"extra keys {late} must sort before 'transcript'")
+        head = json.dumps(
+            dict({"config": self.config,
+                  "recovered": self.recovered.tolist(),
+                  "p_bar": self.p_bar.tolist(),
+                  "q_bar": self.q_bar.tolist(),
+                  "per_chain_iters": list(self.per_chain_iters),
+                  "converged_chains": self.converged_chains}, **extra),
+            sort_keys=True, separators=(",", ":"))
+        # Per chain, the record template is filled with all but the two
+        # endpoints, once for the hops and once for the return; "from"
+        # sorts before "to", so a record is that template % (from, to).
+        payload = self.p_bar.size + self.q_bar.size
+        organizer = json.dumps(ORGANIZER)
+        records = []
+        for chain_id, route in enumerate(self.routes, start=1):
+            hop, final = (_RECORD_TEMPLATE % {
+                "chain_id": chain_id, "from": "%s", "to": "%s",
+                "payload_kind": json.dumps(kind), "scalar_count": payload}
+                for kind in (PAYLOAD_FACTORS, PAYLOAD_FINAL))
+            ends = [organizer, *map(str, route)]
+            records.extend(map(hop.__mod__, zip(ends, ends[1:])))
+            records.append(final % (ends[-1], organizer))
+        return f'{head[:-1]},"transcript":[{",".join(records)}]}}'
 
 
 def _excluded(params: Hyperparams, prev: int | None,

@@ -1,4 +1,7 @@
-"""Shared builders and the finite-difference gradient oracle."""
+"""Shared builders, the finite-difference gradient oracle and the JSON
+reference for ``RunResult.to_json``."""
+
+import json
 
 import numpy as np
 
@@ -22,6 +25,19 @@ def random_factors(seed: int, num_subareas: int = 6, window: int = 4,
     rng = np.random.default_rng(seed)
     return FactorPair(scale * rng.random((num_subareas, latent)),
                       scale * rng.random((latent, window)))
+
+
+def reference_json(result, **extra) -> str:
+    """``result.to_json(**extra)`` as plain ``json.dumps`` writes the run's
+    document, every transcript record included."""
+    doc = {"config": result.config,
+           "recovered": result.recovered.tolist(),
+           "p_bar": result.p_bar.tolist(),
+           "q_bar": result.q_bar.tolist(),
+           "per_chain_iters": list(result.per_chain_iters),
+           "converged_chains": result.converged_chains,
+           "transcript": result.transcript}
+    return json.dumps(dict(doc, **extra), sort_keys=True, separators=(",", ":"))
 
 
 def finite_difference_grads(obs: LocalObservations, factors: FactorPair,

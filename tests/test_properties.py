@@ -1,8 +1,8 @@
 """Property tests of the invariants the README claims, over small random
 configurations: every run passes the audit, communication is accounted for
 exactly, every chain's final factors and the averaged pair are finite and
-non-negative, ``recovered`` is exactly ``p_bar @ q_bar``, and coverage
-respects its cap."""
+non-negative, ``recovered`` is exactly ``p_bar @ q_bar``, coverage respects
+its cap, and ``to_json()`` is what ``json.dumps`` writes."""
 
 from unittest import mock
 
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from cswa import Hyperparams, audit_transcript, generate_lowrank_field, \
     protocol, run_simulation
 from cswa.evaluation import build_inputs
+
+from conftest import reference_json
 
 
 @st.composite
@@ -66,3 +68,4 @@ def test_run_invariants(config):
     for factor in (result.p_bar, result.q_bar):
         assert np.isfinite(factor).all() and (factor >= 0).all()
     assert np.array_equal(result.recovered, result.p_bar @ result.q_bar)
+    assert result.to_json() == reference_json(result)

@@ -15,7 +15,7 @@ from cswa import protocol
 from cswa.factorization import gather_table
 from cswa.protocol import _draw_next, _excluded
 
-from conftest import random_factors
+from conftest import random_factors, reference_json
 
 
 def _params(**overrides):
@@ -436,6 +436,53 @@ def test_run_result_json_has_no_observation_fields():
             for v in node:
                 yield from keys_of(v)
     assert forbidden.isdisjoint(set(keys_of(doc)))
+
+
+# settings -> the converged chain count, for runs whose transcript shapes
+# the renderer must also get right: routes of one hop, chains dropped from
+# the average, and the m=2 fallback
+_RENDER_CASES = {
+    "one-hop-routes": (dict(max_iters=1), 0),
+    "require-convergence-drops": (
+        dict(_README_POINT, grad_tol=0.8, max_iters=400,
+             require_convergence=True), 4),
+    "two-participants": (
+        dict(num_participants=2, batch_size=2, max_iters=30, grad_tol=0.0), 0),
+}
+
+
+@pytest.mark.parametrize("settings, converged", _RENDER_CASES.values(),
+                         ids=_RENDER_CASES)
+def test_to_json_matches_json_dumps(settings, converged):
+    params = _params(**settings)
+    obs, _ = _make_obs(params, num_subareas=20)
+    result = run_simulation(obs, params)
+    assert result.converged_chains == converged
+    assert result.to_json() == reference_json(result)
+
+
+def test_to_json_extra_keys():
+    params = _params(max_iters=10)
+    obs, _ = _make_obs(params)
+    result = run_simulation(obs, params)
+    # "config" replaces the run's echo; the others are added
+    extra = {"config": {"out": "runs"}, "abs_error": 0.25,
+             "missing_only_abs_error": None}
+    assert result.to_json(**extra) == reference_json(result, **extra)
+    for key in ("transcript", "verdict"):
+        with pytest.raises(ParameterError, match=key):
+            result.to_json(**{key: 1})
+
+
+def test_numpy_scalar_params_render_like_python_ints():
+    plain = _params(num_participants=4, max_iters=5)
+    numpy = _params(num_participants=np.int64(4), max_iters=np.int64(5),
+                    step_size=np.float64(1e-3))
+    assert type(numpy.num_participants) is int
+    assert type(numpy.step_size) is float
+    obs, _ = _make_obs(plain)
+    assert (run_simulation(obs, numpy).to_json()
+            == run_simulation(obs, plain).to_json())
 
 
 def test_decentralized_tracks_centralized_oracle():
