@@ -22,9 +22,11 @@ default.
 
 The hop kernel, :meth:`_Stack.hop`, updates a stack of pairs in packed
 form: row i of ``x`` holds pair i's P (row-major) followed by its Q, so
-the regularizer, the update, the truncation, the finiteness check and the
-convergence statistic are one numpy call each for the whole stack. A
-stack makes its buffers and their views once and reuses them every hop.
+the regularizer, the update, the truncation and the convergence statistic
+are one numpy call each for the whole stack, and so is the finiteness
+test whenever every pair is finite. A stack makes its buffers and their
+views once and reuses them every hop; a hop reads its pairs' cells and
+readings from :meth:`_Stack.gather`, one call of which can serve many hops.
 
 The residual F o (R - PQ) is evaluated at the covered cells only, through
 a :class:`GatherTable` of every participant's covered cells and readings,
@@ -37,6 +39,7 @@ definition, so a non-finite product is still reported as divergence.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -145,7 +148,9 @@ class _Stack:
         self._padded = np.zeros((n, s * w + 1))
         self._flat = self._padded.reshape(-1)
         self._residual = self._padded[:, :s * w].reshape(n, s, w)
-        self._offsets = table.offsets[:n]
+        # where pair i's residual starts, for each of a table row's cells
+        self._offsets = np.repeat(table.offsets[:n], table.cells.shape[1],
+                                  axis=1)
 
     @staticmethod
     def _views(x: np.ndarray, s: int, w: int) -> tuple:
@@ -156,23 +161,33 @@ class _Stack:
     def x(self) -> np.ndarray:
         return self._rows[0][0]
 
-    def residuals(self, ids: np.ndarray) -> np.ndarray:
-        """F o (R - PQ) of pair i against table row ``ids[i]``, with one
-        gather and one scatter for the whole stack (see module docstring)."""
+    def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells and readings that step pair i on table row
+        ``ids[..., i]``: the row's covered cells, offset to pair i's
+        residual, and its readings, each of shape ``ids.shape + (width,)``.
+        One gather serves as many hops as ``ids`` has leading rows."""
+        cells = self._table.cells.take(ids, axis=0)
+        cells += self._offsets
+        return cells, self._table.readings.take(ids, axis=0)
+
+    def residuals(self, cells: np.ndarray,
+                  readings: np.ndarray) -> np.ndarray:
+        """F o (R - PQ) of pair i at ``cells[i]`` and ``readings[i]``, one
+        hop's rows of :meth:`gather`, with one gather and one scatter for the
+        whole stack (see module docstring)."""
         _, p, q, _, _ = self._rows[0]
         flat = self._flat
         np.matmul(p, q, out=self._residual)
-        cells = self._table.cells[ids]
-        cells += self._offsets
-        covered = self._table.readings[ids] - flat[cells]
+        covered = readings - flat[cells]
         np.multiply(self._padded, 0.0, out=self._padded)
         flat[cells] = covered
         return self._residual
 
-    def gradients(self, ids: np.ndarray) -> np.ndarray:
+    def gradients(self, cells: np.ndarray,
+                  readings: np.ndarray) -> np.ndarray:
         """The packed (g_p, g_q) of every pair (see module docstring)."""
         x, _, _, p_t, q_t = self._rows[0]
-        residual = self.residuals(ids)
+        residual = self.residuals(cells, readings)
         np.matmul(residual, q_t, out=self._g_p)
         np.matmul(p_t, residual, out=self._g_q)
         reg_x = self._rows[1][0]   # the next rows' buffer is free until a hop
@@ -180,40 +195,55 @@ class _Stack:
         self.g -= reg_x
         return self.g
 
-    @np.errstate(over="ignore", invalid="ignore")  # reported in finite
-    def hop(self, ids: np.ndarray, step: float):
-        """The hop kernel: one masked update of every pair, pair i on table
-        row ``ids[i]``, with the signed step ``step``.
+    def hop(self, cells: np.ndarray, readings: np.ndarray,
+            step: float) -> np.ndarray:
+        """The hop kernel: one masked update of every pair, pair i at
+        ``cells[i]`` and ``readings[i]`` (one hop's rows of :meth:`gather`),
+        with the signed step ``step``.
 
-        Returns (finite, delta): ``finite[i]`` says whether pair i's new
-        factors are all finite and ``delta[i]`` is its max(|g_p|_inf,
-        |g_q|_inf). Each pair goes through the same float operations in the
-        same order as it would alone, so the stack size never changes a
-        result.
+        Returns delta: ``delta[i]`` is pair i's max(|g_p|_inf, |g_q|_inf).
+        An update that overflows is not reported here but by
+        :meth:`all_finite` and :meth:`finite`; callers silence numpy's
+        overflow and invalid-value warnings around their hops. Each pair
+        goes through the same float operations in the same order as it
+        would alone, so the stack size never changes a result.
         """
-        g = self.gradients(ids)
+        g = self.gradients(cells, readings)
         x, new_x = self.x, self._rows[1][0]
         np.multiply(step, g, out=new_x)
         np.add(x, new_x, out=new_x)
         np.maximum(new_x, 0.0, out=new_x)
         self._rows.reverse()
-        return np.isfinite(new_x).all(axis=1), np.abs(g).max(axis=1)
+        return np.abs(g).max(axis=1)
+
+    def all_finite(self) -> bool:
+        """Whether every pair's factors are finite, tested block-wide: a
+        hop leaves every entry non-negative, inf or NaN, and ``max``
+        propagates NaN, so the largest entry is finite exactly when all
+        are. Unlike a sum, the test cannot overflow."""
+        return math.isfinite(self.x.max())
+
+    def finite(self) -> np.ndarray:
+        """Whether pair i's factors are all finite, for every pair."""
+        return np.isfinite(self.x).all(axis=1)
 
 
 def _one_pair(obs: LocalObservations, factors: FactorPair, reg_p: float,
-              reg_q: float) -> tuple[_Stack, np.ndarray]:
-    """A stack of one pair on ``obs``, and the ids that step it there."""
+              reg_q: float) -> tuple[_Stack, tuple[np.ndarray, np.ndarray]]:
+    """A stack of one pair on ``obs``, and the cells and readings that step
+    it there."""
     _check_shapes(obs, factors)
-    return (_Stack(_pack(factors.p[None], factors.q[None]),
-                   gather_table((obs,)), reg_p, reg_q),
-            np.zeros(1, dtype=np.intp))
+    stack = _Stack(_pack(factors.p[None], factors.q[None]),
+                   gather_table((obs,)), reg_p, reg_q)
+    return stack, stack.gather(np.zeros(1, dtype=np.intp))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as inf
 def masked_loss(obs: LocalObservations, factors: FactorPair,
                 reg_p: float, reg_q: float) -> float:
     """Single-participant objective value; always non-negative."""
-    stack, ids = _one_pair(obs, factors, reg_p, reg_q)
-    residual = stack.residuals(ids)[0]
+    stack, hop_rows = _one_pair(obs, factors, reg_p, reg_q)
+    residual = stack.residuals(*hop_rows)[0]
     return float(
         (residual ** 2).sum()
         + reg_p * (factors.p ** 2).sum()
@@ -221,12 +251,13 @@ def masked_loss(obs: LocalObservations, factors: FactorPair,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as inf
 def gradients(obs: LocalObservations, factors: FactorPair,
               reg_p: float, reg_q: float) -> GradPair:
     """Evaluate (g_p, g_q); equals -1/2 the analytic gradient of
     :func:`masked_loss` (see module docstring)."""
-    stack, ids = _one_pair(obs, factors, reg_p, reg_q)
-    (g_p,), (g_q,) = _unpack(stack.gradients(ids), obs.num_subareas,
+    stack, hop_rows = _one_pair(obs, factors, reg_p, reg_q)
+    (g_p,), (g_q,) = _unpack(stack.gradients(*hop_rows), obs.num_subareas,
                              obs.window)
     return GradPair(g_p, g_q)
 
@@ -245,10 +276,11 @@ def sgd_step(obs: LocalObservations, factors: FactorPair, step_size: float,
     if not step_size > 0:
         raise ParameterError(f"step_size must be positive, got {step_size!r}")
     sign = -1.0 if literal_update else 1.0
-    stack, ids = _one_pair(obs, factors, reg_p, reg_q)
-    finite, _ = stack.hop(ids, sign * step_size)
-    if not finite[0]:
-        raise NumericError(_NON_FINITE)
+    stack, hop_rows = _one_pair(obs, factors, reg_p, reg_q)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported here
+        stack.hop(*hop_rows, sign * step_size)
+        if not stack.all_finite():
+            raise NumericError(_NON_FINITE)
     (p,), (q,) = _unpack(stack.x, obs.num_subareas, obs.window)
     (g_p,), (g_q,) = _unpack(stack.g, obs.num_subareas, obs.window)
     return FactorPair(p, q), GradPair(g_p, g_q)
@@ -293,14 +325,16 @@ def solve_centralized(aggregated: LocalObservations, params: Hyperparams,
     scale = (mean if mean > 0 else 1.0) / 4.0
     start = init_factors(aggregated.num_subareas, params.window,
                          params.latent, scale, rng)
-    stack, ids = _one_pair(aggregated, start, params.reg_p, params.reg_q)
+    stack, hop_rows = _one_pair(aggregated, start, params.reg_p,
+                                params.reg_q)
     iterations = 0
-    for i in range(1, params.max_iters + 1):
-        finite, delta = stack.hop(ids, params.step_size)
-        if not finite[0]:
-            raise NumericError(_NON_FINITE, iteration=i)
-        iterations = i
-        if delta[0] <= params.grad_tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):   # reported here
+        for i in range(1, params.max_iters + 1):
+            delta = stack.hop(*hop_rows, params.step_size)
+            if not stack.all_finite():
+                raise NumericError(_NON_FINITE, iteration=i)
+            iterations = i
+            if delta[0] <= params.grad_tol:
+                break
     (p,), (q,) = _unpack(stack.x, aggregated.num_subareas, params.window)
     return FactorPair(p, q), iterations

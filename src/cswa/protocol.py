@@ -13,13 +13,16 @@ update, and a block runs to completion before the next one starts. The
 block holds as many chains as fit their (S, W) residuals in 512 KiB, at
 least one and at most N; a block's factors are one packed array, a row per
 chain. Every block reads one gather table of all participants' covered
-cells and readings, built once per run. Participants are stateless with
-respect to chains (factors live in the message, observations are
-read-only), each chain draws from its own stream derived from (seed,
-chain_id), and each chain's arithmetic is the same in any block, so any
-interleaving yields the identical result. A diverging run reports the
-lowest diverging chain id with that chain's own iteration, which is what
-running the chains one at a time in id order would report.
+cells and readings, built once per run. A chain's route depends on its
+stream alone, so a block draws its chains' next hops a window of up to 64
+rounds ahead and gathers the window's table rows at once; only a round in
+which a chain stops steps through the chains one by one. Participants are
+stateless with respect to chains (factors live in the message,
+observations are read-only), each chain draws from its own stream derived
+from (seed, chain_id), and each chain's arithmetic is the same in any
+block, so any interleaving yields the identical result. A diverging run
+reports the lowest diverging chain id with that chain's own iteration,
+which is what running the chains one at a time in id order would report.
 
 A run records each chain's route and final factors. The transcript, the
 organizer-visible data flow, is derived from the routes, and
@@ -64,8 +67,14 @@ _BLOCK_BYTES = 512 * 1024
 
 # Next-hop draws a chain takes from its stream at a time after its first
 # hop; ``rng.integers(0, k, size=n)`` yields the same values as n scalar
-# draws, and a finished chain's stream is never read again.
+# draws, and a finished chain's stream is never read again. A block draws
+# its routes at most this many rounds ahead.
 _DRAW_CHUNK = 64
+
+# A block's window of drawn rounds holds each round's gathered cells and
+# readings, 16 bytes per chain and table column, in about this many bytes
+# (at least one round): small enough to stay in cache at wide shapes.
+_WINDOW_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,8 @@ class RunResult:
         # Per chain, the record template is filled with all but the two
         # endpoints, once for the hops and once for the return; "from"
         # sorts before "to", so a record is that template % (from, to).
+        # The hop records are one join: split at its two slots into
+        # pre, mid and post, a hop is pre + from + mid + to + post.
         payload = self.p_bar.size + self.q_bar.size
         organizer = json.dumps(ORGANIZER)
         records = []
@@ -198,8 +209,10 @@ class RunResult:
                 "chain_id": chain_id, "from": "%s", "to": "%s",
                 "payload_kind": json.dumps(kind), "scalar_count": payload}
                 for kind in (PAYLOAD_FACTORS, PAYLOAD_FINAL))
+            pre, mid, post = hop.split("%s")
             ends = [organizer, *map(str, route)]
-            records.extend(map(hop.__mod__, zip(ends, ends[1:])))
+            records.append(pre + (post + "," + pre).join(
+                map(mid.join, zip(ends, ends[1:]))) + post)
             records.append(final % (ends[-1], organizer))
         return f'{head[:-1]},"transcript":[{",".join(records)}]}}'
 
@@ -220,23 +233,54 @@ def _excluded(params: Hyperparams, prev: int | None,
     return (prev, current) if prev < current else (current, prev)
 
 
-def _candidate(pick: int, excluded: tuple[int, ...]) -> int:
-    """The id of 0-based candidate ``pick`` among all but ``excluded``."""
-    pick += 1
-    for skipped in excluded:
-        pick += pick >= skipped
-    return pick
+def _walk(route: list[int], picks, exclude_current: bool) -> None:
+    """The next-hop rule: append one hop to ``route`` per 0-based pick in
+    ``picks``. Pick p goes to the (p+1)-th lowest participant id other than
+    the sender ``route[-2]`` (a sender above every id excludes no one) and,
+    with ``exclude_current``, the current participant ``route[-1]``, which
+    must then differ from the sender.
+
+    The exclusion case is fixed for the whole call, so the walk branches
+    on it once, not once per hop."""
+    sender, current = route[-2:]
+    append = route.append
+    if exclude_current:
+        for pick in picks:
+            # shift past the lower exclusion, and then past the higher one
+            pick += 1
+            if sender < current:
+                if pick >= sender:
+                    pick += 1
+                    if pick >= current:
+                        pick += 1
+            elif pick >= current:
+                pick += 1
+                if pick >= sender:
+                    pick += 1
+            sender, current = current, pick
+            append(pick)
+    else:
+        for pick in picks:
+            pick += 1
+            if pick >= sender:
+                pick += 1
+            sender, current = current, pick
+            append(pick)
 
 
 def _draw_next(rng: np.random.Generator, params: Hyperparams,
                prev: int | None, current: int) -> int:
     """Uniform next-hop draw over everyone but :func:`_excluded`.
 
-    O(1): one ``rng.integers(0, k)`` over the k candidates, shifted past
-    the sorted exclusions to the chosen participant id."""
+    O(1): one ``rng.integers(0, k)`` over the k candidates, which
+    :func:`_walk` maps past the exclusions to the chosen participant id."""
     excluded = _excluded(params, prev, current)
-    return _candidate(
-        int(rng.integers(0, params.num_participants - len(excluded))), excluded)
+    if prev is None:   # a first hop excludes at most the current participant
+        prev = current if excluded else params.num_participants + 1
+    route = [prev, current]
+    _walk(route, [int(rng.integers(0, params.num_participants - len(excluded)))],
+          len(excluded) == 2)
+    return route[2]
 
 
 def participant_step(msg: ChainMessage, obs: LocalObservations,
@@ -292,12 +336,22 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     whether each chain converged (rather than spending its budget), and
     each chain's route (the participants it updated at, in order).
 
+    A chain's hops depend only on its own stream, never on its factors, so
+    the block draws its live chains' routes a window of rounds ahead and
+    gathers the window's cells and readings at once; a round then reads
+    its row of the window. A round in which every live chain is finite and
+    above ``grad_tol`` makes no per-chain Python call: one hop, one
+    reduction of the deltas and one block-wide finiteness test. Only a
+    round in which a chain stops goes chain by chain; it truncates the
+    stopped chains' routes to the hops they made, drops them from the
+    stack and keeps the rest of the window for the survivors.
+
     A chain whose update is not finite retires; once the block is done, the
     lowest diverged chain id is reported with its own iteration, which is
     what running the chains one at a time in id order reports.
     """
     num_subareas, window = table.num_subareas, table.window
-    rngs, ps, qs, draws = [], [], [], []
+    rngs, ps, qs, routes = [], [], [], []
     for chain_id, start in enumerate(starts, start=first_id):
         chain_rng = substream(params.seed, "chain", chain_id)
         local_mean = all_obs[start - 1].observed_mean()
@@ -308,52 +362,71 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
         ps.append(factors.p)
         qs.append(factors.q)
         # the first hop's draw: nothing reads the stream before it is due
-        first = params.num_participants - len(_excluded(params, None, start))
-        draws.append([int(chain_rng.integers(0, first))])
+        routes.append([start, _draw_next(chain_rng, params, None, start)])
     stack = _Stack(_pack(np.stack(ps), np.stack(qs)), table, params.reg_p,
                    params.reg_q)
     final_x = np.empty_like(stack.x)
-    # every later hop has a sender, and then the candidate count is the
-    # same for any (sender, current) a route can hold
-    count = params.num_participants - len(_excluded(params, 1, 2))
+    # every later hop has a sender, and then the candidate count and the
+    # exclusion case are the same for any (sender, current) a route can hold
+    excluded = _excluded(params, 1, 2)
+    count = params.num_participants - len(excluded)
+    exclude_current = len(excluded) == 2
+    picks = [[] for _ in starts]   # each chain's drawn, unused picks
     step = (-1.0 if params.literal_update else 1.0) * params.step_size
-    routes = [[start] for start in starts]
+    grad_tol, max_iters = params.grad_tol, params.max_iters
     converged = [False] * len(starts)
     diverged: list[tuple[int, int]] = []
     live = list(range(len(starts)))   # block positions of the live chains
-    ids = np.array(starts) - 1        # the live chains' table rows
+    rows = np.empty((0, len(live)), dtype=np.intp)   # the window's rounds left
     iteration = 0
-    while live:
-        iteration += 1
-        finite, delta = stack.hop(ids, step)
-        going = iteration < params.max_iters
-        keep, nexts, done = [], [], []
-        for i, (c, ok, d) in enumerate(zip(live, finite.tolist(),
-                                          delta.tolist())):
-            if not ok:
-                diverged.append((first_id + c, iteration))
-            elif going and d > params.grad_tol:
-                route = routes[c]
-                pending = draws[c]
-                if not pending:
-                    pending.extend(reversed(rngs[c].integers(
-                        0, count, size=_DRAW_CHUNK).tolist()))
-                nxt = _candidate(pending.pop(), _excluded(
-                    params, route[-2] if iteration > 1 else None, route[-1]))
-                route.append(nxt)
-                keep.append(i)
-                nexts.append(nxt - 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported as divergence
+        while live:
+            if not len(rows):
+                # the next window: every live route drawn to its end, with
+                # each round's table rows for the chains in block order
+                per_round = len(live) * table.cells.shape[1] * 16
+                end = min(max_iters, iteration + max(1, min(
+                    _DRAW_CHUNK, _WINDOW_BYTES // per_round)))
+                for c in live:
+                    need = end - len(routes[c])
+                    if need > 0:
+                        pending = picks[c]
+                        while len(pending) < need:
+                            pending.extend(rngs[c].integers(
+                                0, count, size=_DRAW_CHUNK).tolist())
+                        _walk(routes[c], pending[:need], exclude_current)
+                        del pending[:need]
+                rows = np.array([routes[c][iteration:end] for c in live],
+                                dtype=np.intp).T - 1
+            cells, readings = stack.gather(rows)
+            for r in range(len(rows)):
+                iteration += 1
+                delta = stack.hop(cells[r], readings[r], step)
+                if (iteration < max_iters and delta.min() > grad_tol
+                        and stack.all_finite()):
+                    continue
+                keep, done = [], []
+                for i, (c, ok, d) in enumerate(zip(
+                        live, stack.finite().tolist(), delta.tolist())):
+                    if ok and iteration < max_iters and d > grad_tol:
+                        keep.append(i)
+                        continue
+                    if not ok:
+                        diverged.append((first_id + c, iteration))
+                    else:
+                        done.append(i)
+                        converged[c] = d <= grad_tol
+                    del routes[c][iteration:]
+                if done:
+                    final_x[[live[i] for i in done]] = stack.x[done]
+                live = [live[i] for i in keep]
+                if live:
+                    stack = _Stack(stack.x[keep], table, params.reg_p,
+                                   params.reg_q)
+                rows = rows[r + 1:, keep]
+                break
             else:
-                done.append(i)
-                converged[c] = d <= params.grad_tol
-        if len(keep) < len(live):
-            if done:
-                final_x[[live[i] for i in done]] = stack.x[done]
-            live = [live[i] for i in keep]
-            if live:
-                stack = _Stack(stack.x[keep], table, params.reg_p,
-                               params.reg_q)
-        ids = np.array(nexts, dtype=np.intp)
+                rows = rows[:0]
     if diverged:
         chain_id, at = min(diverged)
         raise NumericError(_NON_FINITE, iteration=at, chain_id=chain_id)

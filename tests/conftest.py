@@ -1,11 +1,21 @@
-"""Shared builders, the finite-difference gradient oracle and the JSON
-reference for ``RunResult.to_json``."""
+"""Shared builders, the finite-difference gradient oracle, the JSON
+reference for ``RunResult.to_json`` and a warnings-as-errors block."""
 
 import json
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
 from cswa import FactorPair, LocalObservations, masked_loss
+
+
+@contextmanager
+def warnings_as_errors():
+    """Turn every warning raised inside the block into an exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def random_observations(seed: int, num_subareas: int = 6, window: int = 4,

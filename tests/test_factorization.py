@@ -8,7 +8,8 @@ from cswa import (FactorPair, Hyperparams, LocalObservations, NumericError,
 from cswa.evaluation import absolute_error
 from cswa.factorization import _pack, _Stack, _unpack, gather_table
 
-from conftest import finite_difference_grads, random_factors, random_observations
+from conftest import (finite_difference_grads, random_factors,
+                      random_observations, warnings_as_errors)
 
 
 def hop_each(p, q, observations, reg_p, reg_q, step):
@@ -17,7 +18,10 @@ def hop_each(p, q, observations, reg_p, reg_q, step):
     finite, delta)."""
     s, w = p.shape[1], q.shape[2]
     stack = _Stack(_pack(p, q), gather_table(observations), reg_p, reg_q)
-    finite, delta = stack.hop(np.arange(len(p)), step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = stack.hop(*stack.gather(np.arange(len(p))), step)
+        finite = stack.finite()
+        assert stack.all_finite() == finite.all()
     return (*_unpack(stack.x, s, w), *_unpack(stack.g, s, w), finite, delta)
 
 
@@ -188,10 +192,11 @@ def test_literal_update_moves_against_the_fit():
 
 def test_step_divergence_raises_numeric_error():
     # the anti-fit direction grows the factors without bound; the step must
-    # fail loudly once entries overflow instead of propagating inf/nan
+    # fail loudly once entries overflow instead of propagating inf/nan, and
+    # without a numpy warning
     obs = random_observations(14, num_subareas=6, window=5, scale=10.0)
     factors = random_factors(15, num_subareas=6, window=5, scale=10.0)
-    with pytest.raises(NumericError):
+    with warnings_as_errors(), pytest.raises(NumericError):
         for _ in range(10_000):
             factors, _ = sgd_step(obs, factors, 1.0, 0.0, 0.0,
                                   literal_update=True)
@@ -277,10 +282,26 @@ def test_hop_reads_padded_table_rows(ids, order):
                    1e-3, 2e-3)
     for step in (1e-2, -1e-2, 1e-2):
         want = _dense_hop(p, q, [pool[i] for i in ids], 1e-3, 2e-3, step)
-        finite, delta = stack.hop(np.array(ids), step)
+        delta = stack.hop(*stack.gather(np.array(ids)), step)
+        finite = stack.finite()
         _assert_identical((*_unpack(stack.x, s, w), *_unpack(stack.g, s, w),
                            finite, delta), want)
         p, q = want[0], want[1]
+
+
+def test_finite_tests_agree_on_entries_whose_sum_overflows():
+    # every entry is finite but their sum is not: no pair may be reported
+    # diverged; an inf or a NaN in one pair marks that pair alone
+    table = gather_table([LocalObservations(1, np.zeros((2, 2)),
+                                            np.zeros((2, 2)))])
+    stack = _Stack(np.full((3, 8), 1e308), table, 0.0, 0.0)   # 3 pairs, l=2
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(stack.x.sum())
+    assert stack.all_finite() and stack.finite().tolist() == [True] * 3
+    for bad in (np.inf, np.nan):
+        stack.x[1, 4] = bad
+        assert not stack.all_finite()
+        assert stack.finite().tolist() == [True, False, True]
 
 
 # --- init_factors ---
@@ -334,6 +355,22 @@ def test_centralized_huge_tolerance_stops_after_one_iteration():
     _, iters = solve_centralized(_full_observations(field), params,
                                  substream(2, "centralized"))
     assert iters == 1
+
+
+def test_centralized_divergence_raises_without_warning():
+    # a step so large that the first update reaches 1e300 and the second's
+    # product overflows; the uncovered cells turn that into NaN, which is
+    # reported with its iteration rather than as a numpy warning
+    field = generate_lowrank_field(10, 12, rank=2, seed=2)
+    mask = np.ones_like(field.values)
+    mask[::2, ::3] = 0.0
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
+                         window=12, latent=2, step_size=1e300, grad_tol=0.0,
+                         max_iters=20, seed=2)
+    with warnings_as_errors(), pytest.raises(NumericError) as excinfo:
+        solve_centralized(LocalObservations(0, mask * field.values, mask),
+                          params, substream(2, "centralized"))
+    assert excinfo.value.iteration == 2
 
 
 def test_centralized_deterministic():

@@ -1,17 +1,19 @@
 """Property tests of the invariants the README claims, over small random
 configurations: every run passes the audit, communication is accounted for
-exactly, every chain's final factors and the averaged pair are finite and
-non-negative, ``recovered`` is exactly ``p_bar @ q_bar``, coverage respects
-its cap, and ``to_json()`` is what ``json.dumps`` writes."""
+exactly, every chain's factors are non-negative after every hop, its final
+factors and the averaged pair are finite, ``recovered`` is exactly
+``p_bar @ q_bar``, coverage respects its cap, and ``to_json()`` is what
+``json.dumps`` writes."""
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cswa import Hyperparams, audit_transcript, generate_lowrank_field, \
-    protocol, run_simulation
+from cswa import Hyperparams, audit_transcript, factorization, \
+    generate_lowrank_field, protocol, run_simulation
 from cswa.evaluation import build_inputs
 
 from conftest import reference_json
@@ -41,10 +43,30 @@ def configs(draw):
     return field, params
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(configs())
-def test_run_invariants(config):
+@pytest.fixture
+def hop_log(monkeypatch):
+    """Wraps ``_Stack.hop`` to assert that every hop leaves every factor
+    entry non-negative, and logs each hop's pair count and least entry."""
+    hop, log = factorization._Stack.hop, []
+
+    def checked_hop(self, *args):
+        delta = hop(self, *args)
+        least = self.x.min()
+        assert least >= 0
+        log.append((len(self.x), least))
+        return delta
+
+    monkeypatch.setattr(factorization._Stack, "hop", checked_hop)
+    return log
+
+
+# the wrapper is the same for every example, so one fixture serves them all
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=configs())
+def test_run_invariants(hop_log, config):
     field, params = config
+    hop_log.clear()
     _, schedule, observations = build_inputs(field, params)
     per_cycle = schedule.covered.sum(axis=1)
     assert ((1 <= per_cycle) & (per_cycle <= params.max_subareas)).all()
@@ -63,9 +85,23 @@ def test_run_invariants(config):
     assert audit_transcript(result.transcript).passed
     payload = params.latent * (field.num_subareas + params.window)
     hops = sum(result.per_chain_iters)
+    assert sum(pairs for pairs, _ in hop_log) == hops
     assert result.scalars_transferred() == (hops + params.batch_size) * payload
     assert result.scalars_transferred(include_init=False) == hops * payload
     for factor in (result.p_bar, result.q_bar):
         assert np.isfinite(factor).all() and (factor >= 0).all()
     assert np.array_equal(result.recovered, result.p_bar @ result.q_bar)
     assert result.to_json() == reference_json(result)
+
+
+def test_literal_update_non_negative_at_every_hop(hop_log):
+    # the anti-fit direction drives entries below zero, so the truncation
+    # is what keeps every hop's factors non-negative
+    params = Hyperparams(num_participants=6, batch_size=4, max_subareas=2,
+                         window=5, latent=2, step_size=0.01, max_iters=60,
+                         grad_tol=0.0, literal_update=True, seed=3)
+    field = generate_lowrank_field(8, params.window, 2, params.seed)
+    _, _, observations = build_inputs(field, params)
+    result = run_simulation(observations, params)
+    assert sum(pairs for pairs, _ in hop_log) == sum(result.per_chain_iters)
+    assert min(least for _, least in hop_log) == 0.0

@@ -15,7 +15,7 @@ from cswa import protocol
 from cswa.factorization import gather_table
 from cswa.protocol import _draw_next, _excluded
 
-from conftest import random_factors, reference_json
+from conftest import random_factors, reference_json, warnings_as_errors
 
 
 def _params(**overrides):
@@ -151,23 +151,46 @@ def test_chunked_draws_equal_scalar_draws(k):
 
 @pytest.mark.parametrize("exclude_self", [True, False])
 @pytest.mark.parametrize("num_participants", [2, 3, 6])
-def test_routes_replay_scalar_draws(num_participants, exclude_self):
-    # a run draws every hop after a chain's first from a 64-draw buffer, m=2
-    # included; replaying each chain's stream with one scalar draw per hop
-    # must reproduce its route
-    params = _params(num_participants=num_participants, batch_size=2,
-                     grad_tol=0.0, max_iters=150, exclude_self=exclude_self)
-    obs, _ = _make_obs(params)
-    result = run_simulation(obs, params)
-    for chain_id, route in enumerate(result.routes, start=1):
-        rng = substream(params.seed, "chain", chain_id)
-        # the same draws as the run's own init: the scale only multiplies them
-        init_factors(8, params.window, params.latent, 1.0, rng)
-        replay = [route[0]]
-        while len(replay) < params.max_iters:
-            prev = replay[-2] if len(replay) > 1 else None
-            replay.append(_draw_next(rng, params, prev, replay[-1]))
-        assert tuple(replay) == route
+def test_routes_replay_scalar_draws(monkeypatch, num_participants,
+                                    exclude_self):
+    # a run draws every hop after a chain's first from 64-draw chunks, m=2
+    # included, a window of rounds ahead of its hops; replaying each chain's
+    # stream with one scalar draw per hop must reproduce its route. The
+    # budgets put the end of a run before, at and just past a 64-round
+    # window; with grad_tol > 0 the chains stop at different rounds inside
+    # a window. Blocks of one chain and of both, and windows of one round
+    # and of many, must all replay, and give the same run.
+    early_stops, runs = set(), {}
+    for block_bytes, window_bytes in ((1, 1), (1, protocol._WINDOW_BYTES),
+                                      (protocol._BLOCK_BYTES, 1),
+                                      (protocol._BLOCK_BYTES,
+                                       protocol._WINDOW_BYTES)):
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(protocol, "_WINDOW_BYTES", window_bytes)
+        for max_iters in (25, 30, 64, 65, 150):
+            for grad_tol in (0.0, 0.2):
+                params = _params(num_participants=num_participants,
+                                 batch_size=2, step_size=0.03,
+                                 grad_tol=grad_tol, max_iters=max_iters,
+                                 exclude_self=exclude_self)
+                obs, _ = _make_obs(params)
+                result = run_simulation(obs, params)
+                assert runs.setdefault(params, result.to_json()) == \
+                    result.to_json()
+                for chain_id, route in enumerate(result.routes, start=1):
+                    rng = substream(params.seed, "chain", chain_id)
+                    # the run's own init draws: the scale only multiplies them
+                    init_factors(8, params.window, params.latent, 1.0, rng)
+                    replay = [route[0]]
+                    while len(replay) < len(route):
+                        prev = replay[-2] if len(replay) > 1 else None
+                        replay.append(_draw_next(rng, params, prev, replay[-1]))
+                    assert tuple(replay) == route
+                    assert len(route) == max_iters or grad_tol > 0
+                    if len(route) < max_iters:
+                        early_stops.add(len(route))
+    # chains stopped early, and at different rounds
+    assert len(early_stops) > 1
 
 
 def test_step_rejects_exhausted_message():
@@ -282,10 +305,11 @@ def test_run_validates_observation_order():
 
 
 def test_run_reports_divergence_with_chain_and_iteration():
+    # the overflow is reported as NumericError, never as a numpy warning
     params = _params(step_size=50.0, grad_tol=0.0, max_iters=20000,
                      noise_sigma=0.0, literal_update=True)
     obs, _ = _make_obs(params)
-    with pytest.raises(NumericError) as excinfo:
+    with warnings_as_errors(), pytest.raises(NumericError) as excinfo:
         run_simulation(obs, params)
     assert (excinfo.value.chain_id, excinfo.value.iteration) == (1, 9)
 
@@ -308,7 +332,7 @@ def test_run_divergence_reports_lowest_chain_id(setting, expected):
     params = _params(step_size=step_size, grad_tol=0.0, max_iters=max_iters,
                      literal_update=True, seed=seed)
     obs, _ = _make_obs(params)
-    with pytest.raises(NumericError) as excinfo:
+    with warnings_as_errors(), pytest.raises(NumericError) as excinfo:
         run_simulation(obs, params)
     assert (excinfo.value.chain_id, excinfo.value.iteration) == expected
 
