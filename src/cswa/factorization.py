@@ -203,8 +203,9 @@ class _Stack:
 
         Returns delta: ``delta[i]`` is pair i's max(|g_p|_inf, |g_q|_inf).
         An update that overflows is not reported here but by
-        :meth:`all_finite` and :meth:`finite`; callers silence numpy's
-        overflow and invalid-value warnings around their hops. Each pair
+        :meth:`all_finite` and :meth:`finite`, so each caller that reports
+        divergence silences numpy's overflow and invalid-value warnings
+        around its hops, once per loop rather than once per hop. Each pair
         goes through the same float operations in the same order as it
         would alone, so the stack size never changes a result.
         """
@@ -238,7 +239,6 @@ def _one_pair(obs: LocalObservations, factors: FactorPair, reg_p: float,
     return stack, stack.gather(np.zeros(1, dtype=np.intp))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as inf
 def masked_loss(obs: LocalObservations, factors: FactorPair,
                 reg_p: float, reg_q: float) -> float:
     """Single-participant objective value; always non-negative."""
@@ -251,7 +251,6 @@ def masked_loss(obs: LocalObservations, factors: FactorPair,
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as inf
 def gradients(obs: LocalObservations, factors: FactorPair,
               reg_p: float, reg_q: float) -> GradPair:
     """Evaluate (g_p, g_q); equals -1/2 the analytic gradient of

@@ -71,11 +71,6 @@ _BLOCK_BYTES = 512 * 1024
 # its routes at most this many rounds ahead.
 _DRAW_CHUNK = 64
 
-# A block's window of drawn rounds holds each round's gathered cells and
-# readings, 16 bytes per chain and table column, in about this many bytes
-# (at least one round): small enough to stay in cache at wide shapes.
-_WINDOW_BYTES = 256 * 1024
-
 
 @dataclass(frozen=True)
 class ChainMessage:
@@ -384,9 +379,7 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
             if not len(rows):
                 # the next window: every live route drawn to its end, with
                 # each round's table rows for the chains in block order
-                per_round = len(live) * table.cells.shape[1] * 16
-                end = min(max_iters, iteration + max(1, min(
-                    _DRAW_CHUNK, _WINDOW_BYTES // per_round)))
+                end = min(max_iters, iteration + _DRAW_CHUNK)
                 for c in live:
                     need = end - len(routes[c])
                     if need > 0:

@@ -360,7 +360,8 @@ def test_centralized_huge_tolerance_stops_after_one_iteration():
 def test_centralized_divergence_raises_without_warning():
     # a step so large that the first update reaches 1e300 and the second's
     # product overflows; the uncovered cells turn that into NaN, which is
-    # reported with its iteration rather than as a numpy warning
+    # reported with its iteration rather than as a numpy warning (with no
+    # cell uncovered no NaN appears; see the next test)
     field = generate_lowrank_field(10, 12, rank=2, seed=2)
     mask = np.ones_like(field.values)
     mask[::2, ::3] = 0.0
@@ -371,6 +372,22 @@ def test_centralized_divergence_raises_without_warning():
         solve_centralized(LocalObservations(0, mask * field.values, mask),
                           params, substream(2, "centralized"))
     assert excinfo.value.iteration == 2
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="with every cell covered the overflowed update is "
+                          "-inf everywhere and the truncation maps it to 0")
+def test_centralized_divergence_raises_when_every_cell_is_covered():
+    # the same step on the fully covered field: R - inf is -inf in every
+    # cell, np.maximum(-inf, 0) is 0, and the run returns zero factors
+    field = generate_lowrank_field(10, 12, rank=2, seed=2)
+    mask = np.ones_like(field.values)
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
+                         window=12, latent=2, step_size=1e300, grad_tol=0.0,
+                         max_iters=20, seed=2)
+    with warnings_as_errors(), pytest.raises(NumericError):
+        solve_centralized(LocalObservations(0, field.values, mask), params,
+                          substream(2, "centralized"))
 
 
 def test_centralized_deterministic():

@@ -158,15 +158,11 @@ def test_routes_replay_scalar_draws(monkeypatch, num_participants,
     # stream with one scalar draw per hop must reproduce its route. The
     # budgets put the end of a run before, at and just past a 64-round
     # window; with grad_tol > 0 the chains stop at different rounds inside
-    # a window. Blocks of one chain and of both, and windows of one round
-    # and of many, must all replay, and give the same run.
+    # a window. Blocks of one chain and of both must replay, and give the
+    # same run.
     early_stops, runs = set(), {}
-    for block_bytes, window_bytes in ((1, 1), (1, protocol._WINDOW_BYTES),
-                                      (protocol._BLOCK_BYTES, 1),
-                                      (protocol._BLOCK_BYTES,
-                                       protocol._WINDOW_BYTES)):
+    for block_bytes in (1, protocol._BLOCK_BYTES):
         monkeypatch.setattr(protocol, "_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(protocol, "_WINDOW_BYTES", window_bytes)
         for max_iters in (25, 30, 64, 65, 150):
             for grad_tol in (0.0, 0.2):
                 params = _params(num_participants=num_participants,
