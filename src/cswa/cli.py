@@ -136,7 +136,6 @@ def cmd_generate(config: RunConfig) -> int:
     write_field_csv(field, field_path)
 
     params = config.params
-    params.check_against(field.num_subareas)
     schedule = assign_coverage(params, field.num_subareas,
                                substream(params.seed, "coverage"))
     schedule_path = out / "schedule.json"
@@ -162,7 +161,8 @@ def cmd_run(config: RunConfig, audit: bool = False,
 
     out = config.out_dir()
     (out / "run_result.json").write_text(result.to_json(**extra) + "\n")
-    transcript = result.transcript
+    # a record per hop: built only when one is written or audited
+    transcript = result.transcript if audit or transcript_jsonl else None
     if transcript_jsonl:
         lines = "".join(json.dumps(record, sort_keys=True) + "\n"
                         for record in transcript)

@@ -13,7 +13,7 @@ import csv
 import io
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from statistics import median
 
 import numpy as np
@@ -78,12 +78,7 @@ class SweepRecord:
     wall_ms: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "axis": self.axis, "value": self.value, "method": self.method,
-            "seed": self.seed, "abs_error": self.abs_error,
-            "iterations": self.iterations, "scalars": self.scalars,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
 
 def absolute_error(recovered: np.ndarray, truth: np.ndarray,

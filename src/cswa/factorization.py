@@ -34,7 +34,9 @@ built once per run. R - PQ is gathered at the cells, the rest of PQ is
 multiplied by 0, and the gathered values are scattered back. A covered
 cell thus holds exactly 1 * (R - PQ), and an uncovered one 0 * PQ, which is
 0 for a finite product and NaN for an overflowed one, as with the dense
-definition, so a non-finite product is still reported as divergence.
+definition. Divergence is tested on the update as well as on the
+truncated factors, so an overflow is reported even where the truncation
+maps it to 0.
 """
 
 from __future__ import annotations
@@ -66,16 +68,14 @@ class GradPair:
 class GatherTable:
     """Every participant's covered cells and readings, padded to one width.
 
-    Row k holds ``observations[k]``'s flat cell indices and readings. Each
-    pair's S x W residual is followed by one scratch slot, index S * W; a
-    row's padding points there with reading 0, so it changes no cell.
-    ``offsets[i]`` is where pair i's residual starts in a stack; a stack
-    holds at most as many pairs as the table has rows.
+    Row k holds ``observations[k]``'s flat cell indices and readings,
+    relative to one pair's S x W residual, which a stack follows with one
+    scratch slot, index S * W; a row's padding points there with reading
+    0, so it changes no cell.
     """
 
     cells: np.ndarray       # (k, width) int
     readings: np.ndarray    # (k, width) float64
-    offsets: np.ndarray     # (k, 1) int
     num_subareas: int
     window: int
 
@@ -83,16 +83,14 @@ class GatherTable:
 def gather_table(observations: Sequence[LocalObservations]) -> GatherTable:
     """The :class:`GatherTable` of ``observations``, which share one shape."""
     num_subareas, window = observations[0].num_subareas, observations[0].window
-    cells_per_pair = num_subareas * window
     width = max(obs.cells.size for obs in observations)
-    cells = np.full((len(observations), width), cells_per_pair, dtype=np.intp)
+    cells = np.full((len(observations), width), num_subareas * window,
+                    dtype=np.intp)
     readings = np.zeros((len(observations), width))
     for row, obs in enumerate(observations):
         cells[row, :obs.cells.size] = obs.cells
         readings[row, :obs.readings.size] = obs.readings
-    offsets = np.arange(len(observations), dtype=np.intp)[:, None]
-    return GatherTable(cells, readings, offsets * (cells_per_pair + 1),
-                       num_subareas, window)
+    return GatherTable(cells, readings, num_subareas, window)
 
 
 def _pack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -148,9 +146,11 @@ class _Stack:
         self._padded = np.zeros((n, s * w + 1))
         self._flat = self._padded.reshape(-1)
         self._residual = self._padded[:, :s * w].reshape(n, s, w)
-        # where pair i's residual starts, for each of a table row's cells
-        self._offsets = np.repeat(table.offsets[:n], table.cells.shape[1],
-                                  axis=1)
+        # where pair i's residual starts in the flat residuals
+        self._offsets = np.arange(n, dtype=np.intp)[:, None] * (s * w + 1)
+        # the last hop's signed step and deltas, which a hop that no pair
+        # has made yet leaves finite
+        self._step, self._delta = 0.0, np.zeros(n)
 
     @staticmethod
     def _views(x: np.ndarray, s: int, w: int) -> tuple:
@@ -215,18 +215,25 @@ class _Stack:
         np.add(x, new_x, out=new_x)
         np.maximum(new_x, 0.0, out=new_x)
         self._rows.reverse()
-        return np.abs(g).max(axis=1)
+        self._step, self._delta = step, np.abs(g).max(axis=1)
+        return self._delta
 
     def all_finite(self) -> bool:
-        """Whether every pair's factors are finite, tested block-wide: a
-        hop leaves every entry non-negative, inf or NaN, and ``max``
-        propagates NaN, so the largest entry is finite exactly when all
-        are. Unlike a sum, the test cannot overflow."""
-        return math.isfinite(self.x.max())
+        """Whether every pair's factors and last update are finite, tested
+        block-wide (see :meth:`finite`). A hop leaves every entry
+        non-negative, inf or NaN, and ``max`` propagates NaN, so the
+        largest entry, or delta, is finite exactly when all are. Unlike a
+        sum, the test cannot overflow."""
+        return (math.isfinite(self.x.max())
+                and math.isfinite(self._step * self._delta.max()))
 
     def finite(self) -> np.ndarray:
-        """Whether pair i's factors are all finite, for every pair."""
-        return np.isfinite(self.x).all(axis=1)
+        """Whether pair i's factors and last update are all finite, for
+        every pair. The update is finite exactly when ``step * delta[i]``,
+        its largest entry in magnitude, is: one that overflows to -inf
+        truncates to finite zeros, so the factors alone would hide it."""
+        return (np.isfinite(self.x).all(axis=1)
+                & np.isfinite(self._step * self._delta))
 
 
 def _one_pair(obs: LocalObservations, factors: FactorPair, reg_p: float,

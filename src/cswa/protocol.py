@@ -65,11 +65,8 @@ _RECORD_TEMPLATE = "{%s}" % ",".join(
 # call among several chains.
 _BLOCK_BYTES = 512 * 1024
 
-# Next-hop draws a chain takes from its stream at a time after its first
-# hop; ``rng.integers(0, k, size=n)`` yields the same values as n scalar
-# draws, and a finished chain's stream is never read again. A block draws
-# its routes at most this many rounds ahead.
-_DRAW_CHUNK = 64
+# A block draws its routes at most this many rounds ahead of its hops.
+_WINDOW_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -212,33 +209,34 @@ class RunResult:
         return f'{head[:-1]},"transcript":[{",".join(records)}]}}'
 
 
-def _excluded(params: Hyperparams, prev: int | None,
-              current: int) -> tuple[int, ...]:
-    """The sorted participants a chain at ``current``, sent by ``prev``
-    (None: the organizer), may not go to next: the previous sender and, by
+def _walk(route: list[int], need: int, rng: np.random.Generator,
+          params: Hyperparams) -> None:
+    """The next-hop rule: append ``need`` hops to ``route``, each drawn
+    uniformly from every participant but its sender (the previous entry;
+    the organizer, which is no participant, for a one-entry route) and, by
     default, the current participant. When both would empty the candidate
-    set (m=2 with exclude_self), only the previous sender is excluded; this
-    degenerate fallback keeps tiny networks runnable. After a chain's first
-    hop the count is fixed."""
-    if prev is None:
-        return (current,) if params.exclude_self else ()
-    if (not params.exclude_self or prev == current
-            or params.num_participants == 2):
-        return (prev,)
-    return (prev, current) if prev < current else (current, prev)
+    set (m=2 with exclude_self), only the sender is excluded; this
+    degenerate fallback keeps tiny networks runnable.
 
-
-def _walk(route: list[int], picks, exclude_current: bool) -> None:
-    """The next-hop rule: append one hop to ``route`` per 0-based pick in
-    ``picks``. Pick p goes to the (p+1)-th lowest participant id other than
-    the sender ``route[-2]`` (a sender above every id excludes no one) and,
-    with ``exclude_current``, the current participant ``route[-1]``, which
-    must then differ from the sender.
-
-    The exclusion case is fixed for the whole call, so the walk branches
-    on it once, not once per hop."""
-    sender, current = route[-2:]
+    The candidate count and the exclusion case are the same for every hop
+    after a chain's first, so one ``rng.integers(0, count, size=need)``
+    draws them all, the same values as ``need`` scalar draws; a one-entry
+    route takes one hop. Pick p goes to the (p+1)-th lowest candidate id.
+    """
+    m, current = params.num_participants, route[-1]
+    if len(route) == 1:
+        # sent by the organizer: the current participant stands in as the
+        # one exclusion, and m + 1, above every id, excludes no one
+        sender = current if params.exclude_self else m + 1
+        exclude_current = False
+    else:
+        sender = route[-2]
+        exclude_current = params.exclude_self and m > 2 and sender != current
+    picks = rng.integers(0, m - (sender <= m) - exclude_current,
+                         size=need).tolist()
     append = route.append
+    # the exclusion case is fixed for the whole walk, so the walk branches
+    # on it once, not once per hop
     if exclude_current:
         for pick in picks:
             # shift past the lower exclusion, and then past the higher one
@@ -265,17 +263,11 @@ def _walk(route: list[int], picks, exclude_current: bool) -> None:
 
 def _draw_next(rng: np.random.Generator, params: Hyperparams,
                prev: int | None, current: int) -> int:
-    """Uniform next-hop draw over everyone but :func:`_excluded`.
-
-    O(1): one ``rng.integers(0, k)`` over the k candidates, which
-    :func:`_walk` maps past the exclusions to the chosen participant id."""
-    excluded = _excluded(params, prev, current)
-    if prev is None:   # a first hop excludes at most the current participant
-        prev = current if excluded else params.num_participants + 1
-    route = [prev, current]
-    _walk(route, [int(rng.integers(0, params.num_participants - len(excluded)))],
-          len(excluded) == 2)
-    return route[2]
+    """The next hop of a chain at ``current`` sent by ``prev`` (None: the
+    organizer), by :func:`_walk`'s rule: one draw over the candidates."""
+    route = [current] if prev is None else [prev, current]
+    _walk(route, 1, rng, params)
+    return route[-1]
 
 
 def participant_step(msg: ChainMessage, obs: LocalObservations,
@@ -332,14 +324,16 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     each chain's route (the participants it updated at, in order).
 
     A chain's hops depend only on its own stream, never on its factors, so
-    the block draws its live chains' routes a window of rounds ahead and
-    gathers the window's cells and readings at once; a round then reads
-    its row of the window. A round in which every live chain is finite and
-    above ``grad_tol`` makes no per-chain Python call: one hop, one
-    reduction of the deltas and one block-wide finiteness test. Only a
-    round in which a chain stops goes chain by chain; it truncates the
-    stopped chains' routes to the hops they made, drops them from the
-    stack and keeps the rest of the window for the survivors.
+    the block walks its live chains' routes up to a window of rounds ahead,
+    each with one draw of the hops it lacks, and gathers the window's cells
+    and readings at once; a round then reads its row of the window. A round
+    in which every live chain is finite and above ``grad_tol`` makes no
+    per-chain Python call: one hop, one reduction of the deltas and one
+    block-wide finiteness test. Only a round in which a chain stops goes
+    chain by chain; it truncates the stopped chains' routes to the hops
+    they made, drops them from the stack and ends the window. The next
+    window starts at the following round and holds no state but the
+    survivors' routes, which are already walked through the old window.
 
     A chain whose update is not finite retires; once the block is done, the
     lowest diverged chain id is reported with its own iteration, which is
@@ -361,46 +355,32 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     stack = _Stack(_pack(np.stack(ps), np.stack(qs)), table, params.reg_p,
                    params.reg_q)
     final_x = np.empty_like(stack.x)
-    # every later hop has a sender, and then the candidate count and the
-    # exclusion case are the same for any (sender, current) a route can hold
-    excluded = _excluded(params, 1, 2)
-    count = params.num_participants - len(excluded)
-    exclude_current = len(excluded) == 2
-    picks = [[] for _ in starts]   # each chain's drawn, unused picks
     step = (-1.0 if params.literal_update else 1.0) * params.step_size
     grad_tol, max_iters = params.grad_tol, params.max_iters
     converged = [False] * len(starts)
     diverged: list[tuple[int, int]] = []
     live = list(range(len(starts)))   # block positions of the live chains
-    rows = np.empty((0, len(live)), dtype=np.intp)   # the window's rounds left
     iteration = 0
     with np.errstate(over="ignore", invalid="ignore"):   # reported as divergence
         while live:
-            if not len(rows):
-                # the next window: every live route drawn to its end, with
-                # each round's table rows for the chains in block order
-                end = min(max_iters, iteration + _DRAW_CHUNK)
-                for c in live:
-                    need = end - len(routes[c])
-                    if need > 0:
-                        pending = picks[c]
-                        while len(pending) < need:
-                            pending.extend(rngs[c].integers(
-                                0, count, size=_DRAW_CHUNK).tolist())
-                        _walk(routes[c], pending[:need], exclude_current)
-                        del pending[:need]
-                rows = np.array([routes[c][iteration:end] for c in live],
-                                dtype=np.intp).T - 1
-            cells, readings = stack.gather(rows)
-            for r in range(len(rows)):
+            # a window: every live route walked to its end (with a budget
+            # of one hop, the first hop already runs past it), then each
+            # round's table rows for the live chains in block order
+            end = min(max_iters, iteration + _WINDOW_ROUNDS)
+            for c in live:
+                if len(routes[c]) < end:
+                    _walk(routes[c], end - len(routes[c]), rngs[c], params)
+            rows = np.array([routes[c][iteration:end] for c in live],
+                            dtype=np.intp).T - 1
+            for hop_cells, hop_readings in zip(*stack.gather(rows)):
                 iteration += 1
-                delta = stack.hop(cells[r], readings[r], step)
-                if (iteration < max_iters and delta.min() > grad_tol
+                delta = stack.hop(hop_cells, hop_readings, step).tolist()
+                if (iteration < max_iters and min(delta) > grad_tol
                         and stack.all_finite()):
                     continue
                 keep, done = [], []
                 for i, (c, ok, d) in enumerate(zip(
-                        live, stack.finite().tolist(), delta.tolist())):
+                        live, stack.finite().tolist(), delta)):
                     if ok and iteration < max_iters and d > grad_tol:
                         keep.append(i)
                         continue
@@ -416,10 +396,7 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
                 if live:
                     stack = _Stack(stack.x[keep], table, params.reg_p,
                                    params.reg_q)
-                rows = rows[r + 1:, keep]
-                break
-            else:
-                rows = rows[:0]
+                break   # the survivors' next window starts at this round
     if diverged:
         chain_id, at = min(diverged)
         raise NumericError(_NON_FINITE, iteration=at, chain_id=chain_id)

@@ -212,10 +212,11 @@ def _dense_hop(p, q, observations, reg_p, reg_q, step):
                              for obs, pq in zip(observations, p @ q)])
         g_p = residual @ q.swapaxes(1, 2) - reg_p * p
         g_q = p.swapaxes(1, 2) @ residual - reg_q * q
-        new_p = np.maximum(p + step * g_p, 0.0)
-        new_q = np.maximum(q + step * g_q, 0.0)
+        # a hop is finite when its update is, before the truncation
+        new_p, new_q = p + step * g_p, q + step * g_q
         finite = (np.isfinite(new_p).all(axis=(1, 2))
                   & np.isfinite(new_q).all(axis=(1, 2)))
+        new_p, new_q = np.maximum(new_p, 0.0), np.maximum(new_q, 0.0)
         delta = np.maximum(np.abs(g_p).max(axis=(1, 2)),
                            np.abs(g_q).max(axis=(1, 2)))
     return new_p, new_q, g_p, g_q, finite, delta
@@ -258,6 +259,21 @@ def test_hop_overflow_at_uncovered_cell_is_not_finite():
     p[0, 0, 0] = q[0, 0, 0] = 1e300
     got = hop_each(p, q, observations, 1e-4, 1e-4, 1e-3)
     _assert_identical(got, _dense_hop(p, q, observations, 1e-4, 1e-4, 1e-3))
+    assert got[4].tolist() == [False, True]
+
+
+def test_hop_overflow_truncated_to_zero_is_not_finite():
+    # pair 0 covers every cell and its PQ overflows: R - inf is -inf in
+    # every cell, and the truncation maps the -inf update to finite zeros,
+    # which must still not count as finite
+    mask = np.ones((3, 4))
+    observations = [LocalObservations(1, mask, mask)] * 2
+    p = np.ones((2, 3, 2))
+    q = np.ones((2, 2, 4))
+    p[0] = q[0] = 1e200
+    got = hop_each(p, q, observations, 1e-4, 1e-4, 1e-3)
+    _assert_identical(got, _dense_hop(p, q, observations, 1e-4, 1e-4, 1e-3))
+    assert not got[0][0].any() and not got[1][0].any()
     assert got[4].tolist() == [False, True]
 
 
@@ -374,12 +390,10 @@ def test_centralized_divergence_raises_without_warning():
     assert excinfo.value.iteration == 2
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="with every cell covered the overflowed update is "
-                          "-inf everywhere and the truncation maps it to 0")
 def test_centralized_divergence_raises_when_every_cell_is_covered():
     # the same step on the fully covered field: R - inf is -inf in every
-    # cell, np.maximum(-inf, 0) is 0, and the run returns zero factors
+    # cell and np.maximum(-inf, 0) is 0, so the factors are finite zeros
+    # and only the update shows the overflow
     field = generate_lowrank_field(10, 12, rank=2, seed=2)
     mask = np.ones_like(field.values)
     params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,

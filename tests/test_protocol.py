@@ -13,7 +13,7 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   run_simulation, substream)
 from cswa import protocol
 from cswa.factorization import gather_table
-from cswa.protocol import _draw_next, _excluded
+from cswa.protocol import _draw_next
 
 from conftest import random_factors, reference_json, warnings_as_errors
 
@@ -112,58 +112,36 @@ def test_draw_next_matches_candidate_list(num_participants, exclude_self):
                                                    exclude_self, prev, current))
 
 
-def _excluded_by_set(num_participants, exclude_self, prev, current):
-    # the exclusion rule spelled out with a set and a sort
-    excluded = {prev, current} if exclude_self else {prev}
-    excluded.discard(None)
-    if len(excluded) == num_participants:
-        excluded = {prev}
-    return sorted(excluded)
-
-
-@pytest.mark.parametrize("exclude_self", [True, False])
-@pytest.mark.parametrize("num_participants", range(2, 7))
-def test_excluded_matches_set_rule(num_participants, exclude_self):
-    # every (prev, current), prev == current included: the m=2 fallback
-    # makes routes such as 1, 2, 2
-    params = _params(num_participants=num_participants, batch_size=1,
-                     exclude_self=exclude_self)
-    for prev in [None, *range(1, num_participants + 1)]:
-        for current in range(1, num_participants + 1):
-            got = _excluded(params, prev, current)
-            assert type(got) is tuple
-            assert list(got) == _excluded_by_set(num_participants,
-                                                 exclude_self, prev, current)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 198, 1000, 2**31 + 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 198, 1000, 2**31 + 5, 2**40])
 def test_chunked_draws_equal_scalar_draws(k):
-    # _run_block draws next hops in chunks; this must equal drawing them one
-    # at a time and leave the stream in the same state
-    chunked, scalar = substream(0, "chain", k), substream(0, "chain", k)
-    scalar.integers(0, k + 1)  # the first hop's draw has one more candidate
-    chunked.integers(0, k + 1)
-    values = chunked.integers(0, k, size=protocol._DRAW_CHUNK).tolist()
-    assert values == [int(scalar.integers(0, k))
-                      for _ in range(protocol._DRAW_CHUNK)]
-    assert chunked.bit_generator.state == scalar.bit_generator.state
+    # a window walks each chain with one draw of the hops it lacks, of any
+    # size up to a window's rounds; this must equal drawing them one at a
+    # time and leave the stream in the same state
+    for size in range(1, protocol._WINDOW_ROUNDS + 2):
+        sized, scalar = substream(0, "chain", k), substream(0, "chain", k)
+        scalar.integers(0, k + 1)  # the first hop's draw has one more candidate
+        sized.integers(0, k + 1)
+        values = sized.integers(0, k, size=size).tolist()
+        assert values == [int(scalar.integers(0, k)) for _ in range(size)]
+        assert sized.bit_generator.state == scalar.bit_generator.state
 
 
 @pytest.mark.parametrize("exclude_self", [True, False])
 @pytest.mark.parametrize("num_participants", [2, 3, 6])
 def test_routes_replay_scalar_draws(monkeypatch, num_participants,
                                     exclude_self):
-    # a run draws every hop after a chain's first from 64-draw chunks, m=2
-    # included, a window of rounds ahead of its hops; replaying each chain's
-    # stream with one scalar draw per hop must reproduce its route. The
-    # budgets put the end of a run before, at and just past a 64-round
-    # window; with grad_tol > 0 the chains stop at different rounds inside
-    # a window. Blocks of one chain and of both must replay, and give the
-    # same run.
+    # a run draws every hop after a chain's first a window of rounds ahead
+    # of its hops, with one sized draw per chain and window, m=2 included;
+    # replaying each chain's stream with one scalar draw per hop must
+    # reproduce its route. The budgets put the end of a run at the first
+    # hop, before, at and just past a 64-round window; with grad_tol > 0
+    # the chains stop at different rounds inside a window, and the next
+    # window starts there. Blocks of one chain and of both must replay,
+    # and give the same run.
     early_stops, runs = set(), {}
     for block_bytes in (1, protocol._BLOCK_BYTES):
         monkeypatch.setattr(protocol, "_BLOCK_BYTES", block_bytes)
-        for max_iters in (25, 30, 64, 65, 150):
+        for max_iters in (1, 25, 30, 64, 65, 150):
             for grad_tol in (0.0, 0.2):
                 params = _params(num_participants=num_participants,
                                  batch_size=2, step_size=0.03,
