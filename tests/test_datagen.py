@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from cswa import (CoverageSchedule, Field, Hyperparams, ParameterError,
                   ParseError, assign_coverage, generate_lowrank_field, load_field_csv,
                   observe, substream, write_field_csv)
+from cswa.datagen import _WORDS_PER_RAW, _lemire, _word_offsets, _Words
 
 
 def _params(**overrides):
@@ -104,6 +105,118 @@ def test_coverage_deterministic_for_stream():
     a = assign_coverage(params, 20, substream(3, "coverage"))
     b = assign_coverage(params, 20, substream(3, "coverage"))
     assert np.array_equal(a.covered, b.covered)
+
+
+def _scalar_coverage(params, num_subareas, rng):
+    """The reference schedule: per participant and cycle, one scalar
+    ``integers`` for the count and one ``choice`` for the subareas."""
+    streams = rng.spawn(params.num_participants)
+    covered = np.zeros((params.num_participants, num_subareas, params.window),
+                       dtype=bool)
+    for j, stream in enumerate(streams):
+        for t in range(params.window):
+            k = int(stream.integers(1, params.max_subareas + 1))
+            covered[j, stream.choice(num_subareas, size=k, replace=False), t] = True
+    return covered
+
+
+_BIT_GENERATORS = [getattr(np.random, name) for name in _WORDS_PER_RAW]
+
+
+@pytest.mark.parametrize("m, subareas, window, s", [
+    (10, 20, 30, 3),            # readme-budget
+    (200, 200, 100, 10),        # wide-network
+    (4, 40, 10, 3),             # sweep-m, m = 4, 8 and 16
+    (8, 40, 10, 3),
+    (16, 40, 10, 3),
+    (5, 12, 6, 1),              # s = 1: the count takes no word
+    (5, 9, 6, 9),               # s = S: the first Floyd range can be 0
+    (3, 60, 4, 60),             # s = S, rows of words refilled every cycle
+    (2, 7, 1, 3),               # m = 2 and W = 1
+    (3, 10001, 3, 250),         # numpy's tail shuffle for k > S // 50
+])
+def test_coverage_equals_scalar_draws(m, subareas, window, s):
+    # the benchmark shapes and s = 1 tabulate every count's ranges; in the
+    # others that table would outgrow covered, so each cycle makes its own
+    params = _params(num_participants=m, batch_size=1, max_subareas=s,
+                     window=window, latent=1)
+    for seed in (0, 1):
+        schedule = assign_coverage(params, subareas, substream(seed, "coverage"))
+        assert np.array_equal(schedule.covered, _scalar_coverage(
+            params, subareas, substream(seed, "coverage")))
+
+
+@pytest.mark.parametrize("subareas, s, seed", [(10001, 201, 2), (10000, 250, 0)])
+def test_coverage_equals_scalar_draws_at_the_tail_shuffle_bounds(subareas, s, seed):
+    # choice shuffles a tail only when S > 10000 and k > S // 50: seed 2
+    # draws a count of exactly 10001 // 50 = 200, and S = 10000 never does
+    params = _params(num_participants=3, batch_size=1, max_subareas=s,
+                     window=8, latent=1)
+    schedule = assign_coverage(params, subareas, substream(seed, "coverage"))
+    assert np.array_equal(schedule.covered, _scalar_coverage(
+        params, subareas, substream(seed, "coverage")))
+    counts = schedule.covered.sum(axis=1)
+    assert (counts == 200).any() if subareas == 10001 else (counts > 200).any()
+
+
+@pytest.mark.parametrize("kind", _BIT_GENERATORS)
+@pytest.mark.parametrize("m, subareas, window, s",
+                         [(6, 30, 8, 5), (2, 4, 3, 4), (2, 10001, 2, 250)])
+def test_coverage_equals_scalar_draws_for_every_bit_generator(kind, m, subareas,
+                                                              window, s):
+    params = _params(num_participants=m, batch_size=1, max_subareas=s,
+                     window=window, latent=1)
+    schedule = assign_coverage(params, subareas, np.random.Generator(kind(11)))
+    assert np.array_equal(schedule.covered, _scalar_coverage(
+        params, subareas, np.random.Generator(kind(11))))
+
+
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("r", [0, 1, 9, 2**31, 3_000_000_000, 2**32 - 2])
+def test_bounded_draws_equal_scalar_integers(kind, r):
+    # four streams, eight draws each, from rows only two words wide: at
+    # r = 2**31 about half the words are rejected, which the coverage
+    # shapes never reach, and the rows are refilled and widened mid-draw
+    streams = np.random.Generator(kind(5)).spawn(4)
+    words = _Words([g.bit_generator for g in streams],
+                   _WORDS_PER_RAW[kind.__name__], 2)
+    ranges = np.full((4, 8), r, np.uint64)
+    values = words.draw(ranges, _word_offsets(ranges))
+    replay = np.random.Generator(kind(5)).spawn(4)
+    expected = [[int(g.integers(0, r + 1)) for _ in range(8)] for g in replay]
+    assert values.tolist() == expected
+    # the words a row read are exactly the words the scalar draws read
+    follow = words.draw(ranges[:, :1], _word_offsets(ranges[:, :1]))[:, 0]
+    assert follow.tolist() == [int(g.integers(0, r + 1)) for g in replay]
+
+
+def test_lemire_rejects_only_below_the_threshold():
+    # r = 2**31: the threshold is (2**32 - 1 - r) % (r + 1) = 2**31 - 1, and
+    # the low half of u * (2**31 + 1) is u + 2**31 * (u odd) mod 2**32
+    words = np.array([2**31 - 2, 2**32 - 1, 2**31 - 1, 0], np.uint32)
+    values, rejected = _lemire(words, np.full(4, 2**31, np.uint64))
+    assert rejected.tolist() == [True, False, False, True]
+    assert values.tolist() == [(int(u) * (2**31 + 1)) >> 32 for u in words]
+
+
+@pytest.mark.parametrize("bad", [20.0, True, "20", 0, -3])
+def test_coverage_rejects_bad_num_subareas(bad):
+    with pytest.raises(ParameterError, match="num_subareas"):
+        assign_coverage(_params(max_subareas=1), bad, substream(0, "coverage"))
+
+
+def test_coverage_accepts_numpy_integer_subareas():
+    a = assign_coverage(_params(), np.int64(20), substream(4, "coverage"))
+    b = assign_coverage(_params(), 20, substream(4, "coverage"))
+    assert np.array_equal(a.covered, b.covered)
+
+
+def test_coverage_rejects_unknown_bit_generator():
+    class Homemade(np.random.BitGenerator):
+        pass
+
+    with pytest.raises(ParameterError, match="Homemade"):
+        assign_coverage(_params(), 20, np.random.Generator(Homemade(0)))
 
 
 def test_schedule_json_round_trip():
