@@ -78,6 +78,9 @@ def generate_lowrank_field(num_subareas: int, num_cycles: int, rank: int,
     """Synthesize an exact-rank ground truth as a product of two uniform
     [0,1) factors, so it is non-negative without truncation.
     """
+    for name, value in (("num_subareas", num_subareas), ("num_cycles", num_cycles),
+                        ("rank", rank), ("seed", seed)):
+        check_type(name, value, "int")
     if num_subareas < 1 or num_cycles < 1:
         raise ParameterError("field dimensions must be positive")
     if not 1 <= rank <= min(num_subareas, num_cycles):
@@ -114,15 +117,6 @@ def _lemire(words: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return scaled >> 32, rejected
 
 
-def _word_offsets(ranges: np.ndarray) -> np.ndarray:
-    """The word each slot of each row of ``ranges`` reads, counted from the
-    row's first, when no word is rejected, and last the number of words the
-    row reads: a range of 0 reads no word."""
-    offsets = np.zeros((ranges.shape[0], ranges.shape[1] + 1), np.intp)
-    np.cumsum(ranges > 0, axis=1, out=offsets[:, 1:])
-    return offsets
-
-
 class _Words:
     """Several streams' 32-bit words in the order numpy's bounded draws
     consume them, read ahead into a buffer with one row per stream."""
@@ -140,25 +134,28 @@ class _Words:
         self.at = (np.arange(1, rows + 1) * width)[:, None]
         self.left = 0               # unread words in every row, at least
 
-    def draw(self, ranges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def draw(self, ranges: np.ndarray) -> np.ndarray:
         """Bounded draws for a (rows, slots) uint64 array of ranges, each
-        row in slot order from its own stream, given ``_word_offsets(ranges)``:
-        a rejected word is skipped, exactly as numpy skips it."""
-        need = ranges.shape[1]      # words a row reads when none is rejected
-        if need > self.left:
-            self._refill(need)
-        at = self.at + offsets
-        values, rejected = _lemire(self.words.take(at[:, :-1]), ranges)
-        while np.count_nonzero(rejected):
-            # a rejected slot and every later slot of its row read one word on
-            first = rejected & (np.cumsum(rejected, axis=1) == 1)
-            shift = np.cumsum(first, axis=1)
-            offsets = offsets + np.hstack([shift, shift[:, -1:]])
+        row in slot order from its own stream: a range of 0 reads no word,
+        and a rejected word is skipped, exactly as numpy skips it."""
+        # the word each slot reads, counted from its row's next unread
+        # word, and last the number of words the row reads
+        offsets = np.zeros((ranges.shape[0], ranges.shape[1] + 1), np.intp)
+        np.cumsum(ranges > 0, axis=1, out=offsets[:, 1:])
+        while True:
+            # a slot of range 0 looks at, and ignores, the next unread word,
+            # so the buffer holds one word more than the rows read
             need = int(offsets[:, -1].max())
-            if need > self.left:
+            if need >= self.left:
                 self._refill(need)
             at = self.at + offsets
             values, rejected = _lemire(self.words.take(at[:, :-1]), ranges)
+            if not np.count_nonzero(rejected):
+                break
+            # a row's first rejected slot and every later one read one word on
+            moved = np.logical_or.accumulate(rejected, axis=1)
+            offsets[:, :-1] += moved
+            offsets[:, -1] += moved[:, -1]
         self.at = at[:, -1:]
         self.left -= need
         return values
@@ -218,24 +215,12 @@ def _draw_cycles(bit_generators: list, per_raw: int, num_subareas: int,
     # bytes than covered takes, and for at least one cycle
     width = max(2 * s + 2, min(2 * s * (W + 1), S * W // 4))
     words = _Words(bit_generators, per_raw, width)
-    if 16 * (s + 1) * (2 * s + 1) <= m * S * W:
-        # every count's ranges and word offsets, in no more bytes than covered
-        ranges = _cycle_ranges(S, s, np.arange(s + 1))
-        offsets = _word_offsets(ranges)
-
-        def draw(k):
-            return words.draw(ranges[k], offsets[k])
-    else:
-        def draw(k):
-            cycle = _cycle_ranges(S, s, k)
-            return words.draw(cycle, _word_offsets(cycle))
-
     counts = np.empty((m, W), np.intp)
     picks = np.empty((m, W, s), np.intp)
-    k = draw(np.zeros(m, np.intp))[:, -1] + 1
+    k = words.draw(_cycle_ranges(S, s, np.zeros(m, np.intp)))[:, -1] + 1
     for t in range(W):
         counts[:, t] = k
-        values = draw(k)
+        values = words.draw(_cycle_ranges(S, s, k))
         picks[:, t] = values[:, :s]
         k = values[:, -1] + 1
     return counts, picks
@@ -318,6 +303,7 @@ def observe(field_window: np.ndarray, schedule: CoverageSchedule,
         raise ShapeError(
             f"schedule ({schedule.num_subareas}x{schedule.num_cycles}) does "
             f"not match the field window {window.shape}")
+    check_type("noise_sigma", noise_sigma, "float")
     if noise_sigma < 0:
         raise ParameterError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
     streams = rng.spawn(schedule.num_participants)

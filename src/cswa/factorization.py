@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .model import FactorPair, Hyperparams, LocalObservations
+from .model import FactorPair, Hyperparams, LocalObservations, check_type
 
 
 @dataclass(frozen=True)
@@ -300,10 +300,13 @@ def init_factors(num_subareas: int, window: int, latent: int, scale: float,
     mean), so the initial product PQ starts at the data's order of magnitude
     instead of half-negative and immediately truncated.
     """
+    for name, value in (("num_subareas", num_subareas), ("window", window),
+                        ("latent", latent)):
+        check_type(name, value, "int")
     if not 1 <= latent <= min(num_subareas, window):
         raise ParameterError(
             f"latent {latent} must lie in 1..min({num_subareas}, {window})")
-    if scale <= 0:
+    if not scale > 0:
         raise ParameterError(f"scale must be positive, got {scale!r}")
     magnitude = np.sqrt(scale / latent)
     p = magnitude * np.abs(rng.standard_normal((num_subareas, latent)))

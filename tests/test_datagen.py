@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from cswa import (CoverageSchedule, Field, Hyperparams, ParameterError,
                   ParseError, assign_coverage, generate_lowrank_field, load_field_csv,
                   observe, substream, write_field_csv)
-from cswa.datagen import _WORDS_PER_RAW, _lemire, _word_offsets, _Words
+from cswa.datagen import _WORDS_PER_RAW, _lemire, _Words
 
 
 def _params(**overrides):
@@ -52,6 +52,23 @@ def test_generated_field_non_negative():
 def test_rank_too_large_rejected():
     with pytest.raises(ParameterError):
         generate_lowrank_field(5, 8, rank=6, seed=0)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("num_subareas", 20.0), ("num_subareas", True), ("num_cycles", "30"),
+    ("rank", 2.0), ("seed", 1.5), ("seed", True), ("seed", None)])
+def test_field_rejects_non_integer_arguments(name, bad):
+    args = dict(num_subareas=20, num_cycles=30, rank=2, seed=1)
+    args[name] = bad
+    with pytest.raises(ParameterError, match=name):
+        generate_lowrank_field(**args)
+
+
+def test_field_accepts_numpy_integers():
+    a = generate_lowrank_field(np.int64(20), np.int64(30), rank=np.int64(2),
+                               seed=np.int64(7))
+    b = generate_lowrank_field(20, 30, rank=2, seed=7)
+    assert np.array_equal(a.values, b.values)
 
 
 # --- assign_coverage ---
@@ -136,8 +153,8 @@ _BIT_GENERATORS = [getattr(np.random, name) for name in _WORDS_PER_RAW]
     (3, 10001, 3, 250),         # numpy's tail shuffle for k > S // 50
 ])
 def test_coverage_equals_scalar_draws(m, subareas, window, s):
-    # the benchmark shapes and s = 1 tabulate every count's ranges; in the
-    # others that table would outgrow covered, so each cycle makes its own
+    # the benchmark shapes, the edges of s, and the tail shuffle; every
+    # cycle draws its own ranges from the raw words of all participants
     params = _params(num_participants=m, batch_size=1, max_subareas=s,
                      window=window, latent=1)
     for seed in (0, 1):
@@ -181,13 +198,31 @@ def test_bounded_draws_equal_scalar_integers(kind, r):
     words = _Words([g.bit_generator for g in streams],
                    _WORDS_PER_RAW[kind.__name__], 2)
     ranges = np.full((4, 8), r, np.uint64)
-    values = words.draw(ranges, _word_offsets(ranges))
+    values = words.draw(ranges)
     replay = np.random.Generator(kind(5)).spawn(4)
     expected = [[int(g.integers(0, r + 1)) for _ in range(8)] for g in replay]
     assert values.tolist() == expected
     # the words a row read are exactly the words the scalar draws read
-    follow = words.draw(ranges[:, :1], _word_offsets(ranges[:, :1]))[:, 0]
+    follow = words.draw(ranges[:, :1])[:, 0]
     assert follow.tolist() == [int(g.integers(0, r + 1)) for g in replay]
+
+
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937])
+def test_bounded_draws_mixing_zero_ranges_equal_scalar_integers(kind):
+    # zero ranges, which read no word, before, between and after ranges
+    # that reject about half their words, in rows two words wide; a row of
+    # zero ranges reads nothing, and the second draw goes on from the first
+    row = [0, 2**31, 0, 0, 3_000_000_000, 2**31, 0, 3_000_000_000, 0]
+    ranges = np.array([row, row[::-1], np.roll(row, 3), [0] * len(row)],
+                      np.uint64)
+    streams = np.random.Generator(kind(7)).spawn(4)
+    words = _Words([g.bit_generator for g in streams],
+                   _WORDS_PER_RAW[kind.__name__], 2)
+    replay = np.random.Generator(kind(7)).spawn(4)
+    for _ in range(2):
+        expected = [[int(g.integers(0, int(r) + 1)) for r in slots]
+                    for g, slots in zip(replay, ranges)]
+        assert words.draw(ranges).tolist() == expected
 
 
 def test_lemire_rejects_only_below_the_threshold():
@@ -307,6 +342,13 @@ def test_observe_deterministic():
     for x, y in zip(a, b):
         assert np.array_equal(x.r_local, y.r_local)
         assert np.array_equal(x.f_mask, y.f_mask)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1"])
+def test_observe_rejects_bad_noise_sigma(bad):
+    schedule = CoverageSchedule(np.ones((2, 3, 4), dtype=bool))
+    with pytest.raises(ParameterError, match="noise_sigma"):
+        observe(np.ones((3, 4)), schedule, bad, substream(0, "observe"))
 
 
 # --- CSV I/O ---

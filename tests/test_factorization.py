@@ -333,6 +333,16 @@ def test_init_factors_rank_bounds():
         init_factors(3, 6, 4, scale=1.0, rng=substream(0, "init"))
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("num_subareas", 8.0), ("window", "6"), ("latent", 2.0), ("latent", True),
+    ("scale", float("nan")), ("scale", 0.0), ("scale", -1.0)])
+def test_init_factors_rejects_bad_arguments(name, bad):
+    args = dict(num_subareas=8, window=6, latent=2, scale=1.0)
+    args[name] = bad
+    with pytest.raises(ParameterError, match=name):
+        init_factors(**args, rng=substream(0, "init"))
+
+
 def test_init_factors_product_magnitude_tracks_scale():
     # E[(PQ)_ij] = scale * (E|N(0,1)|)^2 = scale * 2/pi
     rng = substream(123, "init")
