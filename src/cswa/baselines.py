@@ -26,10 +26,10 @@ class ImputeResult:
 
 
 def _observed(aggregated: LocalObservations) -> tuple[np.ndarray, np.ndarray]:
-    mask = aggregated.f_mask == 1.0
-    if not mask.any():
+    """The dense readings and boolean mask of ``aggregated``."""
+    if not aggregated.cells.size:
         raise ParameterError("no observed cells; nothing to impute from")
-    return aggregated.r_local, mask
+    return aggregated.r_local, aggregated.f_mask == 1.0
 
 
 def tsvd_impute(aggregated: LocalObservations, k: int,
@@ -58,10 +58,11 @@ def tsvd_impute(aggregated: LocalObservations, k: int,
     filled = np.where(mask, values, col_means[np.newaxis, :])
 
     missing = ~mask
+    any_missing = missing.any()
     for rounds in range(1, max_rounds + 1):
         u, s, vt = np.linalg.svd(filled, full_matrices=False)
         low_rank = (u[:, :k] * s[:k]) @ vt[:k]
-        delta = float(np.abs(low_rank - filled)[missing].max()) if missing.any() else 0.0
+        delta = float(np.abs(low_rank - filled)[missing].max()) if any_missing else 0.0
         filled = np.where(mask, values, low_rank)
         if delta <= tol:
             break

@@ -54,10 +54,6 @@ class CoverageSchedule:
     def num_cycles(self) -> int:
         return self.covered.shape[2]
 
-    def mask(self, participant_id: int) -> np.ndarray:
-        """0/1 filter matrix for one participant (1-based id)."""
-        return self.covered[participant_id - 1].astype(np.float64)
-
     def union_mask(self) -> np.ndarray:
         """0/1 matrix of cells covered by at least one participant."""
         return self.covered.any(axis=0).astype(np.float64)
@@ -294,7 +290,9 @@ def observe(field_window: np.ndarray, schedule: CoverageSchedule,
 
     Covered cells carry max(0, truth + eps) with eps ~ Normal(0, sigma^2)
     drawn independently per (participant, subarea, cycle); two participants
-    covering the same cell get independent noise. Masked-out cells are 0.
+    covering the same cell get independent noise. Each participant's stream
+    draws noise for the whole window, so its draws do not depend on its
+    coverage; only the covered cells are kept.
     """
     window = np.asarray(field_window, dtype=np.float64)
     if window.ndim != 2:
@@ -309,10 +307,10 @@ def observe(field_window: np.ndarray, schedule: CoverageSchedule,
     streams = rng.spawn(schedule.num_participants)
     out = []
     for j, stream in enumerate(streams, start=1):
-        mask = schedule.mask(j)
         noise = stream.normal(0.0, noise_sigma, size=window.shape)
-        readings = mask * np.maximum(0.0, window + noise)
-        out.append(LocalObservations(j, readings, mask))
+        cells = np.flatnonzero(schedule.covered[j - 1])
+        readings = np.maximum(0.0, window.take(cells) + noise.take(cells))
+        out.append(LocalObservations(j, *window.shape, cells, readings))
     return out
 
 

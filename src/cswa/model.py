@@ -1,5 +1,6 @@
 """Domain types shared by all modules: the sensed field, per-participant
-observation windows, hyperparameters, and low-rank factor pairs.
+observations (covered cells and their readings only), hyperparameters, and
+low-rank factor pairs.
 
 All types are immutable after construction (arrays are locked read-only),
 so they can be shared across concurrently executing chains.
@@ -173,58 +174,68 @@ class Hyperparams:
 
 @dataclass(frozen=True, eq=False)
 class LocalObservations:
-    """One participant's masked, noisy view of the field window.
+    """One participant's noisy readings of the cells it covered in an
+    S x W field window (``num_subareas`` x ``window``): all that its device
+    stores, and it never leaves the device; only factor matrices travel.
 
-    ``r_local`` never leaves the participant's device; only factor matrices
-    travel. ``f_mask`` is exactly 0/1 per cell (1 = collected), and
-    ``r_local`` is exactly 0 wherever the mask is 0, so masked-out cells
-    carry no information.
+    ``cells`` holds the flat row-major indices of the covered cells,
+    strictly increasing, and ``readings`` the reading at each, in the same
+    order. ``r_local`` (readings, 0 elsewhere) and ``f_mask`` (1 at the
+    covered cells, 0 elsewhere) are dense S x W views, built anew and
+    read-only on each access; nothing in the package reads them per hop.
 
     ``participant_id`` 0 is reserved for the organizer-side aggregate that
     feeds the centralized baselines; real participants are numbered 1..m.
-
-    ``cells`` (the flat row-major indices of the collected cells) and
-    ``readings`` (``r_local`` at those cells, in the same order) are derived
-    once at construction; the hop kernel reads only these.
     """
 
     participant_id: int
-    r_local: np.ndarray
-    f_mask: np.ndarray
-    cells: np.ndarray = field(init=False, repr=False)
-    readings: np.ndarray = field(init=False, repr=False)
+    num_subareas: int
+    window: int
+    cells: np.ndarray = field(repr=False)
+    readings: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.participant_id, (int, np.integer)) or self.participant_id < 0:
+        for name in ("participant_id", "num_subareas", "window"):
+            check_type(name, getattr(self, name), "int")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.participant_id < 0:
             raise ParameterError(
-                f"participant_id must be a non-negative integer, got {self.participant_id!r}")
-        r = _frozen_matrix(self.r_local, "r_local")
-        f = _frozen_matrix(self.f_mask, "f_mask")
-        if r.shape != f.shape:
-            raise ShapeError(f"r_local {r.shape} and f_mask {f.shape} differ in shape")
-        if not (((f == 0.0) | (f == 1.0)).all()):
-            raise ParameterError("f_mask entries must be exactly 0 or 1")
-        covered = f == 1.0
-        if not np.isfinite(r[covered]).all():
-            raise ParameterError("observed cells must be finite")
-        if (r[covered] < 0).any():
-            raise ParameterError("observed cells must be non-negative")
-        if (r[~covered] != 0.0).any():
-            raise ParameterError("masked-out cells of r_local must be exactly 0")
-        cells = np.flatnonzero(covered)
-        readings = r.ravel()[cells]
-        for name, arr in (("r_local", r), ("f_mask", f), ("cells", cells),
-                          ("readings", readings)):
+                f"participant_id must be non-negative, got {self.participant_id!r}")
+        if self.num_subareas < 1 or self.window < 1:
+            raise ParameterError("num_subareas and window must be positive, got "
+                                 f"{self.num_subareas} and {self.window}")
+        cells, readings = np.array(self.cells), np.array(self.readings, np.float64)
+        if cells.ndim != 1 or readings.shape != cells.shape:
+            raise ShapeError(f"cells {cells.shape} and readings {readings.shape} "
+                             "must be 1-D arrays of one length")
+        if cells.size and cells.dtype.kind not in "iu":
+            raise ParameterError(f"cells must be integers, got dtype {cells.dtype}")
+        cells = cells.astype(np.intp)
+        if (np.diff(cells) <= 0).any():
+            raise ParameterError("cells must be strictly increasing")
+        if cells.size and not 0 <= cells[0] <= cells[-1] < self.num_subareas * self.window:
+            raise ParameterError(f"cells must lie in [0, {self.num_subareas * self.window})")
+        if not np.isfinite(readings).all():
+            raise ParameterError("readings must be finite")
+        if (readings < 0).any():
+            raise ParameterError("readings must be non-negative")
+        for name, arr in (("cells", cells), ("readings", readings)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def num_subareas(self) -> int:
-        return self.r_local.shape[0]
+    def _dense(self, values) -> np.ndarray:
+        dense = np.zeros(self.num_subareas * self.window)
+        dense[self.cells] = values
+        dense.setflags(write=False)
+        return dense.reshape(self.num_subareas, self.window)
 
     @property
-    def window(self) -> int:
-        return self.r_local.shape[1]
+    def r_local(self) -> np.ndarray:
+        return self._dense(self.readings)
+
+    @property
+    def f_mask(self) -> np.ndarray:
+        return self._dense(1.0)
 
     def observed_mean(self) -> float:
         """Mean of the collected cells; 0.0 when nothing was collected."""

@@ -532,9 +532,13 @@ def aggregate_for_baseline(all_obs: list[LocalObservations]) -> LocalObservation
     shapes = {(obs.num_subareas, obs.window) for obs in all_obs}
     if len(shapes) != 1:
         raise ShapeError(f"observation windows disagree in shape: {shapes}")
-    counts = sum(obs.f_mask for obs in all_obs)
-    sums = sum(obs.r_local for obs in all_obs)
-    covered = counts > 0
-    mean = np.zeros_like(sums)
-    np.divide(sums, counts, out=mean, where=covered)
-    return LocalObservations(0, mean, covered.astype(np.float64))
+    (num_subareas, window), = shapes
+    counts = np.zeros(num_subareas * window)
+    sums = np.zeros(num_subareas * window)
+    # participant by participant, as a dense sum would add them
+    for obs in all_obs:
+        counts[obs.cells] += 1.0
+        sums[obs.cells] += obs.readings
+    cells = np.flatnonzero(counts)
+    return LocalObservations(0, num_subareas, window, cells,
+                             sums[cells] / counts[cells])

@@ -18,6 +18,19 @@ def warnings_as_errors():
         yield
 
 
+def dense_observations(participant_id: int, values, mask) -> LocalObservations:
+    """Observations given as a dense S x W readings matrix and 0/1 mask:
+    the readings at the cells where the mask is 1. Readings off the mask
+    must be 0, so the dense views give both matrices back."""
+    values = np.asarray(values, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    assert values.shape == mask.shape and np.isin(mask, (0.0, 1.0)).all()
+    assert not values[mask == 0.0].any()
+    cells = np.flatnonzero(mask)
+    return LocalObservations(participant_id, *values.shape, cells,
+                             values.ravel()[cells])
+
+
 def random_observations(seed: int, num_subareas: int = 6, window: int = 4,
                         fill: float = 0.5, participant_id: int = 1,
                         scale: float = 2.0) -> LocalObservations:
@@ -27,7 +40,7 @@ def random_observations(seed: int, num_subareas: int = 6, window: int = 4,
     if not mask.any():
         mask[0, 0] = 1.0
     values = mask * rng.random((num_subareas, window)) * scale
-    return LocalObservations(participant_id, values, mask)
+    return dense_observations(participant_id, values, mask)
 
 
 def random_factors(seed: int, num_subareas: int = 6, window: int = 4,

@@ -10,14 +10,15 @@ from statistics import median
 import numpy as np
 import pytest
 
-from cswa import (Hyperparams, LocalObservations, SweepSpec,
+from cswa import (Hyperparams, SweepSpec,
                   absolute_error, aggregate_for_baseline, assign_coverage,
                   audit_transcript, comm_bound, generate_lowrank_field,
                   gradients, mean_fill, median_errors, observe,
                   run_simulation, run_sweep, solve_centralized, substream,
                   tsvd_impute)
 
-from conftest import finite_difference_grads, random_factors, random_observations
+from conftest import (dense_observations, finite_difference_grads,
+                      random_factors, random_observations)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -95,7 +96,7 @@ def test_criterion_2_exact_recovery_centralized():
         params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
                              window=30, latent=2, step_size=1e-3, reg_p=1e-4,
                              reg_q=1e-4, max_iters=5000, seed=seed)
-        full = LocalObservations(0, field.values, np.ones_like(field.values))
+        full = dense_observations(0, field.values, np.ones_like(field.values))
         factors, _ = solve_centralized(full, params,
                                        substream(seed, "centralized"))
         err = absolute_error(factors.product(), field.values)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cswa import (LocalObservations, ParameterError, generate_lowrank_field,
-                  mean_fill, tsvd_impute)
+from cswa import ParameterError, generate_lowrank_field, mean_fill, tsvd_impute
+
+from conftest import dense_observations
 
 
 def _masked_obs(values, mask):
-    return LocalObservations(0, np.asarray(values) * np.asarray(mask),
-                             np.asarray(mask, dtype=float))
+    return dense_observations(0, np.asarray(values) * np.asarray(mask),
+                              np.asarray(mask, dtype=float))
 
 
 # --- tsvd_impute ---
@@ -82,7 +83,7 @@ def test_tsvd_parameter_validation():
         tsvd_impute(obs, k=0)
     with pytest.raises(ParameterError):
         tsvd_impute(obs, k=4)
-    empty = LocalObservations(0, np.zeros((4, 3)), np.zeros((4, 3)))
+    empty = dense_observations(0, np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(ParameterError):
         tsvd_impute(empty, k=1)
 
@@ -112,7 +113,7 @@ def test_mean_fill_empty_row_uses_global_mean():
 
 
 def test_mean_fill_requires_observed_cells():
-    empty = LocalObservations(0, np.zeros((3, 3)), np.zeros((3, 3)))
+    empty = dense_observations(0, np.zeros((3, 3)), np.zeros((3, 3)))
     with pytest.raises(ParameterError):
         mean_fill(empty)
 

@@ -344,6 +344,35 @@ def test_observe_deterministic():
         assert np.array_equal(x.f_mask, y.f_mask)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_observe_readings_bitwise_match_dense_formula(sigma):
+    # the readings are those of mask * max(0, truth + noise) with the noise
+    # each participant's stream draws for the whole window; rows of zeros
+    # put the clamp at 0 to work
+    field = generate_lowrank_field(20, 8, rank=2, seed=5).values.copy()
+    field[::3] = 0.0
+    schedule = assign_coverage(_params(), 20, substream(5, "coverage"))
+    obs = observe(field, schedule, sigma, substream(5, "observe"))
+    streams = substream(5, "observe").spawn(schedule.num_participants)
+    for o, stream, covered in zip(obs, streams, schedule.covered):
+        mask = covered.astype(np.float64)
+        noise = stream.normal(0.0, sigma, size=field.shape)
+        dense = mask * np.maximum(0.0, field + noise)
+        assert np.array_equal(o.r_local, dense)
+        assert np.array_equal(np.signbit(o.r_local), np.signbit(dense))
+        assert np.array_equal(o.f_mask, mask)
+
+
+def test_observe_stores_no_dense_matrix():
+    field = np.arange(40.0).reshape(8, 5)
+    covered = np.zeros((3, 8, 5), dtype=bool)
+    covered[:, :2] = True
+    obs = observe(field, CoverageSchedule(covered), 0.1, substream(0, "observe"))
+    for o in obs:
+        stored = [v for v in vars(o).values() if isinstance(v, np.ndarray)]
+        assert stored and all(v.size == 10 for v in stored)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1"])
 def test_observe_rejects_bad_noise_sigma(bad):
     schedule = CoverageSchedule(np.ones((2, 3, 4), dtype=bool))

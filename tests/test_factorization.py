@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from cswa import (FactorPair, Hyperparams, LocalObservations, NumericError,
+from cswa import (FactorPair, Hyperparams, NumericError,
                   ParameterError, ShapeError, generate_lowrank_field,
                   gradients, init_factors, masked_loss, sgd_step,
                   solve_centralized, substream)
 from cswa.evaluation import absolute_error
 from cswa.factorization import _pack, _Stack, _unpack, gather_table
 
-from conftest import (finite_difference_grads, random_factors,
-                      random_observations, warnings_as_errors)
+from conftest import (dense_observations, finite_difference_grads,
+                      random_factors, random_observations,
+                      warnings_as_errors)
 
 
 def hop_each(p, q, observations, reg_p, reg_q, step):
@@ -31,13 +32,13 @@ def test_loss_zero_on_perfect_fit():
     factors = random_factors(0, num_subareas=5, window=4, latent=2)
     product = factors.product()
     mask = np.ones_like(product)
-    obs = LocalObservations(1, product, mask)
+    obs = dense_observations(1, product, mask)
     assert masked_loss(obs, factors, 0.0, 0.0) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_loss_reduces_to_regularization_when_unobserved():
     factors = random_factors(1, num_subareas=5, window=4, latent=2)
-    obs = LocalObservations(1, np.zeros((5, 4)), np.zeros((5, 4)))
+    obs = dense_observations(1, np.zeros((5, 4)), np.zeros((5, 4)))
     expected = (factors.p ** 2).sum() + (factors.q ** 2).sum()
     assert masked_loss(obs, factors, 1.0, 1.0) == pytest.approx(expected)
 
@@ -45,8 +46,8 @@ def test_loss_reduces_to_regularization_when_unobserved():
 def test_loss_hand_case_masked_out_cells_ignored():
     # R=[1 0;0 0], F=[1 0;0 0], P=[1;0], Q=[1 1]: PQ=[1 1;0 0], so the only
     # scored cell fits exactly and the loss is 0
-    obs = LocalObservations(1, np.array([[1.0, 0.0], [0.0, 0.0]]),
-                            np.array([[1.0, 0.0], [0.0, 0.0]]))
+    obs = dense_observations(1, np.array([[1.0, 0.0], [0.0, 0.0]]),
+                             np.array([[1.0, 0.0], [0.0, 0.0]]))
     factors = FactorPair(np.array([[1.0], [0.0]]), np.array([[1.0, 1.0]]))
     assert masked_loss(obs, factors, 0.0, 0.0) == pytest.approx(0.0)
 
@@ -73,7 +74,7 @@ def test_loss_invariant_under_compensating_diagonal_rescale():
 # --- gradients ---
 
 def test_gradients_zero_without_data_or_regularization():
-    obs = LocalObservations(1, np.zeros((5, 4)), np.zeros((5, 4)))
+    obs = dense_observations(1, np.zeros((5, 4)), np.zeros((5, 4)))
     factors = random_factors(2, num_subareas=5, window=4)
     grads = gradients(obs, factors, 0.0, 0.0)
     assert np.array_equal(grads.g_p, np.zeros((5, 2)))
@@ -81,7 +82,7 @@ def test_gradients_zero_without_data_or_regularization():
 
 
 def test_gradients_regularization_term_alone():
-    obs = LocalObservations(1, np.zeros((5, 4)), np.zeros((5, 4)))
+    obs = dense_observations(1, np.zeros((5, 4)), np.zeros((5, 4)))
     factors = random_factors(5, num_subareas=5, window=4)
     grads = gradients(obs, factors, 1.0, 0.0)
     assert np.allclose(grads.g_p, -factors.p)
@@ -104,7 +105,7 @@ def test_gradients_ignore_masked_out_cells():
     factors = random_factors(13, num_subareas=6, window=4)
     tampered_values = obs.r_local.copy()
     tampered_values[obs.f_mask == 0.0] = 0.0  # stays zero; build a twin
-    twin = LocalObservations(1, tampered_values, obs.f_mask)
+    twin = dense_observations(1, tampered_values, obs.f_mask)
     g_a = gradients(obs, factors, 0.1, 0.1)
     g_b = gradients(twin, factors, 0.1, 0.1)
     assert np.array_equal(g_a.g_p, g_b.g_p)
@@ -119,7 +120,7 @@ def truncate(pair: FactorPair) -> FactorPair:
     regularization: both gradients are 0, so the update is exactly the
     hop's Truncate step."""
     shape = (pair.p.shape[0], pair.q.shape[1])
-    nothing = LocalObservations(1, np.zeros(shape), np.zeros(shape))
+    nothing = dense_observations(1, np.zeros(shape), np.zeros(shape))
     p, q, *_ = hop_each(pair.p[None], pair.q[None], (nothing,), 0.0, 0.0, 0.5)
     return FactorPair(p[0], q[0])
 
@@ -152,7 +153,7 @@ def test_truncate_idempotent_on_random_matrices():
 # --- sgd_step ---
 
 def test_step_is_fixed_point_at_zero_gradient():
-    obs = LocalObservations(1, np.zeros((5, 4)), np.zeros((5, 4)))
+    obs = dense_observations(1, np.zeros((5, 4)), np.zeros((5, 4)))
     factors = random_factors(7, num_subareas=5, window=4)
     stepped, grads = sgd_step(obs, factors, 0.1, 0.0, 0.0)
     assert grads.max_abs() == 0.0
@@ -172,7 +173,7 @@ def test_step_decreases_loss_at_small_step_size():
     rng = np.random.default_rng(21)
     truth = rng.random((10, 8)) * 2.0
     mask = (rng.random((10, 8)) < 0.7).astype(float)
-    obs = LocalObservations(1, truth * mask, mask)
+    obs = dense_observations(1, truth * mask, mask)
     factors = random_factors(22, num_subareas=10, window=8, latent=3)
     loss = masked_loss(obs, factors, 1e-4, 1e-4)
     for _ in range(100):
@@ -239,7 +240,7 @@ def test_hop_matches_dense_reference(seed):
         fill = (0.0, 1.0, rng.random())[int(rng.integers(0, 3))]
         mask = (rng.random((s, w)) < fill).astype(float)
         observations.append(
-            LocalObservations(j + 1, mask * rng.random((s, w)) * 3.0, mask))
+            dense_observations(j + 1, mask * rng.random((s, w)) * 3.0, mask))
     p = rng.random((n, s, l)) * (rng.random((n, s, l)) < 0.8)
     q = rng.random((n, l, w)) * (rng.random((n, l, w)) < 0.8)
     for step in (1e-2, -1e-2):
@@ -252,8 +253,8 @@ def test_hop_overflow_at_uncovered_cell_is_not_finite():
     # residual there is 0 * inf = NaN, so the update must not be finite
     mask = np.ones((3, 4))
     mask[0, 0] = 0.0
-    observations = [LocalObservations(1, mask, mask),
-                    LocalObservations(2, np.zeros((3, 4)), np.zeros((3, 4)))]
+    observations = [dense_observations(1, mask, mask),
+                    dense_observations(2, np.zeros((3, 4)), np.zeros((3, 4)))]
     p = np.ones((2, 3, 2))
     q = np.ones((2, 2, 4))
     p[0, 0, 0] = q[0, 0, 0] = 1e300
@@ -267,7 +268,7 @@ def test_hop_overflow_truncated_to_zero_is_not_finite():
     # every cell, and the truncation maps the -inf update to finite zeros,
     # which must still not count as finite
     mask = np.ones((3, 4))
-    observations = [LocalObservations(1, mask, mask)] * 2
+    observations = [dense_observations(1, mask, mask)] * 2
     p = np.ones((2, 3, 2))
     q = np.ones((2, 2, 4))
     p[0] = q[0] = 1e200
@@ -289,7 +290,7 @@ def test_hop_reads_padded_table_rows(ids, order):
     s, w, l = 4, 7, 2
     one_cell = np.zeros((s, w))
     one_cell[s - 1, w // 2] = 1.0
-    pool = [LocalObservations(j + 1, mask * rng.random((s, w)) * 3.0, mask)
+    pool = [dense_observations(j + 1, mask * rng.random((s, w)) * 3.0, mask)
             for j, mask in enumerate((np.zeros((s, w)), one_cell,
                                       np.ones((s, w))))]
     p = rng.random((len(ids), s, l))
@@ -308,8 +309,8 @@ def test_hop_reads_padded_table_rows(ids, order):
 def test_finite_tests_agree_on_entries_whose_sum_overflows():
     # every entry is finite but their sum is not: no pair may be reported
     # diverged; an inf or a NaN in one pair marks that pair alone
-    table = gather_table([LocalObservations(1, np.zeros((2, 2)),
-                                            np.zeros((2, 2)))])
+    table = gather_table([dense_observations(1, np.zeros((2, 2)),
+                                             np.zeros((2, 2)))])
     stack = _Stack(np.full((3, 8), 1e308), table, 0.0, 0.0)   # 3 pairs, l=2
     with np.errstate(over="ignore"):
         assert not np.isfinite(stack.x.sum())
@@ -357,7 +358,7 @@ def test_init_factors_product_magnitude_tracks_scale():
 # --- solve_centralized ---
 
 def _full_observations(field):
-    return LocalObservations(0, field.values, np.ones_like(field.values))
+    return dense_observations(0, field.values, np.ones_like(field.values))
 
 
 def test_centralized_recovers_lowrank_field():
@@ -395,7 +396,7 @@ def test_centralized_divergence_raises_without_warning():
                          window=12, latent=2, step_size=1e300, grad_tol=0.0,
                          max_iters=20, seed=2)
     with warnings_as_errors(), pytest.raises(NumericError) as excinfo:
-        solve_centralized(LocalObservations(0, mask * field.values, mask),
+        solve_centralized(dense_observations(0, mask * field.values, mask),
                           params, substream(2, "centralized"))
     assert excinfo.value.iteration == 2
 
@@ -410,7 +411,7 @@ def test_centralized_divergence_raises_when_every_cell_is_covered():
                          window=12, latent=2, step_size=1e300, grad_tol=0.0,
                          max_iters=20, seed=2)
     with warnings_as_errors(), pytest.raises(NumericError):
-        solve_centralized(LocalObservations(0, field.values, mask), params,
+        solve_centralized(dense_observations(0, field.values, mask), params,
                           substream(2, "centralized"))
 
 

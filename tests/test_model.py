@@ -6,6 +6,8 @@ from cswa import (CoverageSchedule, FactorPair, Field, Hyperparams,
                   build_window)
 from cswa import protocol
 
+from conftest import dense_observations
+
 
 def test_field_rejects_negative_entries():
     with pytest.raises(ParameterError, match="negative"):
@@ -106,28 +108,59 @@ def test_hyperparams_check_against_subareas():
         params.check_against(3)  # latent 4 > 3 subareas
 
 
-def test_local_observations_mask_is_binary():
-    with pytest.raises(ParameterError):
-        LocalObservations(1, np.zeros((2, 2)), np.full((2, 2), 0.5))
+@pytest.mark.parametrize("args, error, name", [
+    ((-1, 2, 3, [0], [1.0]), ParameterError, "participant_id"),
+    ((True, 2, 3, [0], [1.0]), ParameterError, "participant_id"),
+    ((1, 0, 3, [], []), ParameterError, "num_subareas"),
+    ((1, 2, 2.0, [0], [1.0]), ParameterError, "window"),
+    ((1, 2, 3, [3, 1], [1.0, 2.0]), ParameterError, "cells"),
+    ((1, 2, 3, [1, 1], [1.0, 2.0]), ParameterError, "cells"),
+    ((1, 2, 3, [-1, 2], [1.0, 2.0]), ParameterError, "cells"),
+    ((1, 2, 3, [2, 6], [1.0, 2.0]), ParameterError, "cells"),
+    ((1, 2, 3, [0.0, 2.0], [1.0, 2.0]), ParameterError, "cells"),
+    ((1, 2, 3, [[0, 2]], [[1.0, 2.0]]), ShapeError, "cells"),
+    ((1, 2, 3, [0, 2], [1.0]), ShapeError, "readings"),
+    ((1, 2, 3, [0, 2], [1.0, np.nan]), ParameterError, "readings"),
+    ((1, 2, 3, [0, 2], [np.inf, 1.0]), ParameterError, "readings"),
+    ((1, 2, 3, [0, 2], [1.0, -0.5]), ParameterError, "readings"),
+], ids=["negative-id", "bool-id", "no-subareas", "float-window", "unsorted",
+        "duplicate", "below-range", "above-range", "float-cells", "2-D",
+        "length-mismatch", "nan", "inf", "negative-reading"])
+def test_local_observations_rejects_bad_input(args, error, name):
+    with pytest.raises(error, match=name):
+        LocalObservations(*args)
 
 
-def test_local_observations_masked_cells_carry_nothing():
-    with pytest.raises(ParameterError):
-        LocalObservations(1, np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]))
+def test_local_observations_store_no_dense_matrix():
+    # a participant keeps its covered cells and readings only; the dense
+    # views are made on each access, read-only, and match the dense form
+    values = np.array([[0.0, 2.0, 0.0, 0.0], [5.0, 0.0, 0.0, 3.0]])
+    mask = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+    obs = LocalObservations(1, 2, 4, [1, 4, 7], [2.0, 5.0, 3.0])
+    stored = [v for v in vars(obs).values() if isinstance(v, np.ndarray)]
+    assert len(stored) == 2
+    assert all(arr.ndim == 1 and arr.size == 3 for arr in stored)
+    for name, dense in (("r_local", values), ("f_mask", mask)):
+        first, second = getattr(obs, name), getattr(obs, name)
+        assert first is not second and not np.shares_memory(first, second)
+        assert not first.flags.writeable
+        assert first.dtype == np.float64 and np.array_equal(first, dense)
+        with pytest.raises(AttributeError):
+            setattr(obs, name, dense)
 
 
 def test_local_observations_masking_idempotent():
     mask = np.array([[1.0, 0.0], [0.0, 1.0]])
     values = np.array([[3.0, 0.0], [0.0, 7.0]])
-    obs = LocalObservations(2, values, mask)
+    obs = dense_observations(2, values, mask)
     assert np.array_equal(obs.f_mask * obs.r_local, obs.r_local)
 
 
 def test_observed_mean():
-    obs = LocalObservations(1, np.array([[2.0, 0.0], [0.0, 4.0]]),
-                            np.array([[1.0, 0.0], [0.0, 1.0]]))
+    obs = dense_observations(1, np.array([[2.0, 0.0], [0.0, 4.0]]),
+                             np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert obs.observed_mean() == 3.0
-    empty = LocalObservations(1, np.zeros((2, 2)), np.zeros((2, 2)))
+    empty = LocalObservations(1, 2, 2, [], [])
     assert empty.observed_mean() == 0.0
 
 
@@ -136,7 +169,7 @@ def test_observed_mean_is_bitwise_the_masked_mean():
     for fill in (0.0, 0.03, 0.3, 0.9, 1.0):
         mask = (rng.random((200, 100)) < fill).astype(float)
         values = mask * rng.random((200, 100)) * 7.0
-        obs = LocalObservations(1, values, mask)
+        obs = dense_observations(1, values, mask)
         expected = float(values[mask == 1].mean()) if fill else 0.0
         assert obs.observed_mean() == expected
 
@@ -144,11 +177,11 @@ def test_observed_mean_is_bitwise_the_masked_mean():
 def test_local_observations_cache_covered_cells():
     mask = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     values = np.array([[0.0, 2.0, 0.0], [5.0, 0.0, 3.0]])
-    obs = LocalObservations(1, values, mask)
+    obs = dense_observations(1, values, mask)
     assert obs.cells.tolist() == [1, 3, 5]
     assert obs.readings.tolist() == [2.0, 5.0, 3.0]
     assert not obs.cells.flags.writeable and not obs.readings.flags.writeable
-    empty = LocalObservations(2, np.zeros((2, 3)), np.zeros((2, 3)))
+    empty = dense_observations(2, np.zeros((2, 3)), np.zeros((2, 3)))
     assert empty.cells.size == 0 and empty.readings.size == 0
 
 
@@ -168,7 +201,7 @@ def test_factor_pair_product_and_scalar_count():
 
 @pytest.mark.parametrize("make", [
     lambda: Field(np.ones((2, 3))),
-    lambda: LocalObservations(1, np.ones((2, 3)), np.ones((2, 3))),
+    lambda: LocalObservations(1, 2, 3, np.arange(6), np.ones(6)),
     lambda: FactorPair(np.ones((2, 1)), np.ones((1, 3))),
     lambda: CoverageSchedule(np.ones((2, 2, 3), dtype=bool)),
     lambda: protocol.RunResult(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 3)),

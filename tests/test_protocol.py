@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
-                  Hyperparams, LocalObservations, NumericError,
+                  Hyperparams, NumericError,
                   ParameterError, aggregate_for_baseline,
                   assign_coverage, audit_transcript, generate_lowrank_field,
                   init_factors, observe, participant_step, recover,
@@ -15,7 +15,8 @@ from cswa import protocol
 from cswa.factorization import gather_table
 from cswa.protocol import _draw_next
 
-from conftest import random_factors, reference_json, warnings_as_errors
+from conftest import (dense_observations, random_factors, reference_json,
+                      warnings_as_errors)
 
 
 def _params(**overrides):
@@ -623,7 +624,7 @@ def _obs_from_cells(participant_id, shape, cells):
     for (a, t), v in cells.items():
         values[a, t] = v
         mask[a, t] = 1.0
-    return LocalObservations(participant_id, values, mask)
+    return dense_observations(participant_id, values, mask)
 
 
 def test_aggregate_single_source():
@@ -639,6 +640,27 @@ def test_aggregate_averages_double_coverage():
     b = _obs_from_cells(2, (3, 3), {(0, 0): 6.0})
     agg = aggregate_for_baseline([a, b])
     assert agg.r_local[0, 0] == 5.0
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_aggregate_matches_dense_formula(m):
+    # participant by participant sums over the covered cells give the bits
+    # of the dense sums over every cell, overlaps included
+    params = _params(num_participants=m, batch_size=1, max_subareas=6,
+                     window=9, noise_sigma=0.05, seed=m)
+    field = generate_lowrank_field(12, 9, rank=2, seed=m)
+    schedule = assign_coverage(params, 12, substream(m, "coverage"))
+    obs = observe(field.values, schedule, 0.05, substream(m, "observe"))
+    counts = sum(o.f_mask for o in obs)
+    sums = sum(o.r_local for o in obs)
+    covered = counts > 0
+    mean = np.zeros_like(sums)
+    np.divide(sums, counts, out=mean, where=covered)
+    assert (counts > 1).any()
+    agg = aggregate_for_baseline(obs)
+    assert np.array_equal(agg.r_local, mean)
+    assert np.array_equal(np.signbit(agg.r_local), np.signbit(mean))
+    assert np.array_equal(agg.f_mask, covered.astype(np.float64))
 
 
 def test_aggregate_disjoint_union():
