@@ -9,7 +9,9 @@ order can change what any participant observes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,51 +24,100 @@ from .rng import substream
 class CoverageSchedule:
     """Which subareas each participant covers in each cycle of the window.
 
-    ``covered[j-1, a-1, t-1]`` is True when participant j covers subarea a
-    in cycle t: a read-only boolean array of shape (participants, subareas,
-    cycles), participant j's slice being its 0/1 filter matrix F. Every
-    participant covers at least one subarea per cycle: a participant that
-    senses nothing in a cycle is not modeled.
+    ``cells[j-1]`` lists participant j's covered cells as flat indices
+    ``a * num_cycles + t`` (subarea a, cycle t, both 0-based), strictly
+    increasing: a read-only 1-D integer array, as ``LocalObservations.cells``
+    stores them. Every participant covers at least one subarea per cycle: a
+    participant that senses nothing in a cycle is not modeled.
     """
 
-    covered: np.ndarray
+    num_subareas: int
+    num_cycles: int
+    cells: tuple = field(repr=False)
 
     def __post_init__(self):
-        covered = np.array(self.covered, dtype=bool)
-        if covered.ndim != 3:
-            raise ShapeError("covered must be a (participants, subareas, "
-                             f"cycles) array, got shape {covered.shape}")
-        if not covered.any(axis=1).all():
-            raise ParameterError("every participant must cover at least one "
-                                 "subarea per cycle")
-        covered.setflags(write=False)
-        object.__setattr__(self, "covered", covered)
+        for name in ("num_subareas", "num_cycles"):
+            check_type(name, getattr(self, name), "int")
+            if getattr(self, name) < 1:
+                raise ParameterError(
+                    f"{name} must be at least 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
+        rows = [np.asarray(c) for c in self.cells]
+        if not rows:
+            raise ParameterError("cells must list at least one participant")
+        for j, row in enumerate(rows, start=1):
+            if row.ndim != 1:
+                raise ShapeError(f"cells of participant {j} must be a 1-D "
+                                 f"array, got shape {row.shape}")
+        for dtype in {row.dtype for row in rows if row.size}:
+            if dtype.kind not in "iu":
+                raise ParameterError(f"cells must be integers, got dtype {dtype}")
+        S, W, m = self.num_subareas, self.num_cycles, len(rows)
+        sizes = [row.size for row in rows]
+        ends = list(accumulate(sizes))
+        flat = np.concatenate(rows, dtype=np.intp, casting="unsafe")
+        # a step down or a repeat inside one participant's cells; the step
+        # from one participant's last cell to the next one's first is none
+        down = flat[1:] <= flat[:-1]
+        down[[end - 1 for end in ends if 0 < end < flat.size]] = False
+        if down.any():
+            j = bisect_right(ends, int(np.argmax(down)))
+            raise ParameterError(
+                f"cells of participant {j + 1} must be strictly increasing")
+        if flat.size and not 0 <= flat.min() <= flat.max() < S * W:
+            raise ParameterError(f"cells must lie in [0, {S * W})")
+        # each cell's (participant j, cycle t) as j * W + t, computed in
+        # place: t is flat - flat // W * W
+        pair = flat // W
+        pair *= -W
+        pair += flat
+        pair += np.repeat(np.arange(0, m * W, W), sizes)
+        held = np.zeros(m * W, dtype=bool)
+        held[pair] = True
+        if not held.all():
+            j, t = divmod(int(np.argmin(held)), W)
+            raise ParameterError(
+                f"cells: participant {j + 1} covers no subarea in cycle "
+                f"{t + 1}; every participant must cover at least one subarea "
+                "per cycle")
+        flat.setflags(write=False)
+        object.__setattr__(self, "cells", tuple(
+            flat[a:b] for a, b in zip([0, *ends], ends)))
 
     @property
     def num_participants(self) -> int:
-        return self.covered.shape[0]
+        return len(self.cells)
 
     @property
-    def num_subareas(self) -> int:
-        return self.covered.shape[1]
-
-    @property
-    def num_cycles(self) -> int:
-        return self.covered.shape[2]
+    def covered(self) -> np.ndarray:
+        """``covered[j-1, a-1, t-1]`` is True when participant j covers
+        subarea a in cycle t: a dense (participants, subareas, cycles) mask,
+        built anew and read-only on each access."""
+        covered = np.zeros((self.num_participants,
+                            self.num_subareas * self.num_cycles), dtype=bool)
+        for row, cells in zip(covered, self.cells):
+            row[cells] = True
+        covered.setflags(write=False)
+        return covered.reshape(-1, self.num_subareas, self.num_cycles)
 
     def union_mask(self) -> np.ndarray:
         """0/1 matrix of cells covered by at least one participant."""
-        return self.covered.any(axis=0).astype(np.float64)
+        union = np.zeros(self.num_subareas * self.num_cycles)
+        union[np.concatenate(self.cells)] = 1.0
+        return union.reshape(self.num_subareas, self.num_cycles)
 
     def to_jsonable(self) -> dict:
         """``covered[j-1][t-1]`` is the ascending list of the 1-based
         subareas participant j covers in cycle t."""
-        subareas = np.arange(1, self.num_subareas + 1)
-        return {
-            "num_subareas": self.num_subareas,
-            "covered": [[subareas[cells].tolist() for cells in rows]
-                        for rows in self.covered.transpose(0, 2, 1)],
-        }
+        W = self.num_cycles
+        doc = []
+        for cells in self.cells:
+            cycles = cells % W
+            # a stable sort by cycle keeps each cycle's subareas ascending
+            subareas = (cells[np.argsort(cycles, kind="stable")] // W + 1).tolist()
+            ends = np.cumsum(np.bincount(cycles, minlength=W)).tolist()
+            doc.append([subareas[a:b] for a, b in zip([0] + ends, ends)])
+        return {"num_subareas": self.num_subareas, "covered": doc}
 
 
 def generate_lowrank_field(num_subareas: int, num_cycles: int, rank: int,
@@ -95,6 +146,9 @@ def generate_lowrank_field(num_subareas: int, num_cycles: int, rank: int,
 _WORDS_PER_RAW = {"PCG64": 2, "PCG64DXSM": 2, "Philox": 2, "SFC64": 2,
                   "MT19937": 1}
 _LOW32 = 0xFFFFFFFF
+# bytes of the dense mask that resolves Floyd's repeats, for a chunk of
+# participants at a time
+_SCRATCH_BYTES = 1 << 20
 
 
 def _lemire(words: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +234,7 @@ def _cycle_ranges(num_subareas: int, max_subareas: int,
                   counts: np.ndarray) -> np.ndarray:
     """Row i lists the ranges of the draws a cycle with count k = counts[i]
     makes in ``Generator.choice(num_subareas, size=k, replace=False)``,
-    zero ranges as padding, and last the range of the next cycle's count;
-    a count of 0 draws only that next count.
+    zero ranges as padding, and last the range of the next cycle's count.
 
     ``choice`` takes Floyd's sampling (ranges S-k .. S-1) and then shuffles
     the k picks (ranges k-1 .. 1). For S > 10000 and k > S // 50 it instead
@@ -190,12 +243,13 @@ def _cycle_ranges(num_subareas: int, max_subareas: int,
     S, s = num_subareas, max_subareas
     i = np.arange(2 * s)
     k = np.asarray(counts, np.intp)[:, None]
-    ranges = np.where(i < k, S - k + i, 2 * k - 1 - i).clip(0)
+    ranges = np.where(i < k, i + (S - k), (2 * k - 1) - i)
+    np.maximum(ranges, 0, out=ranges)
     if S > 10000:
         tail = (k > S // 50)[:, 0]
         ranges[tail] = np.where(i < k[tail], S - 1 - i, 0)
     ranges[:, -1] = s - 1
-    return ranges.astype(np.uint64)
+    return ranges.view(np.uint64)   # the same values: none is negative
 
 
 def _draw_cycles(bit_generators: list, per_raw: int, num_subareas: int,
@@ -208,12 +262,12 @@ def _draw_cycles(bit_generators: list, per_raw: int, num_subareas: int,
     which the first k in each cycle are used."""
     m, S, W, s = len(bit_generators), num_subareas, window, max_subareas
     # room for every cycle's words when none is rejected, but in no more
-    # bytes than covered takes, and for at least one cycle
+    # than S * W bytes per stream, and for at least one cycle
     width = max(2 * s + 2, min(2 * s * (W + 1), S * W // 4))
     words = _Words(bit_generators, per_raw, width)
     counts = np.empty((m, W), np.intp)
-    picks = np.empty((m, W, s), np.intp)
-    k = words.draw(_cycle_ranges(S, s, np.zeros(m, np.intp)))[:, -1] + 1
+    picks = np.empty((m, W, s), np.uint32)   # every draw is below 2**32
+    k = words.draw(np.full((m, 1), s - 1, np.uint64))[:, 0] + 1   # cycle 1's count
     for t in range(W):
         counts[:, t] = k
         values = words.draw(_cycle_ranges(S, s, k))
@@ -249,27 +303,59 @@ def assign_coverage(params: Hyperparams, num_subareas: int,
             f"({', '.join(_WORDS_PER_RAW)}), got {type(rng.bit_generator).__name__}")
     m, S, W, s = (params.num_participants, int(num_subareas), params.window,
                   params.max_subareas)
-    counts, picks = _draw_cycles([child.bit_generator for child in rng.spawn(m)],
-                                 per_raw, S, W, s)
+    rows = _covered_cells(S, *_draw_cycles(
+        [child.bit_generator for child in rng.spawn(m)], per_raw, S, W, s))
+    return CoverageSchedule(S, W, rows)
 
-    covered = np.zeros((m, S, W), dtype=bool)
-    cells = covered.reshape(-1)
+
+def _covered_cells(num_subareas: int, counts: np.ndarray,
+                   picks: np.ndarray) -> list[np.ndarray]:
+    """Each participant's covered cells, from the counts and draws that
+    :func:`_draw_cycles` returns. Floyd's "already covered?" test reads a
+    dense mask, made for as many participants as fit ``_SCRATCH_BYTES`` (one
+    at least) at a time; each chunk's cells are read off it before the next."""
+    m, W, _ = picks.shape
+    chunk = max(1, _SCRATCH_BYTES // (num_subareas * W))
+    scratch = np.zeros((min(m, chunk), num_subareas * W), dtype=bool)
+    rows = []
+    for first in range(0, m, chunk):
+        if first:
+            scratch.fill(False)
+        part = slice(first, first + chunk)
+        _cover(scratch.reshape(-1), counts[part], picks[part], num_subareas)
+        rows += [row.nonzero()[0] for row in scratch[:len(counts[part])]]
+    return rows
+
+
+def _cover(covered: np.ndarray, counts: np.ndarray, picks: np.ndarray,
+           num_subareas: int) -> None:
+    """Mark in ``covered``, a flat (participants, subareas, cycles) mask
+    that is all False, the subareas each (participant, cycle) pair's draws
+    choose: ``counts`` is (participants, cycles) and ``picks`` (participants,
+    cycles, s), as :func:`_draw_cycles` returns them."""
+    n, W, s = picks.shape
+    S = num_subareas
     counts, picks = counts.ravel(), picks.reshape(-1, s)
     # each (participant, cycle) pair's flat index of its cell for subarea 0
-    base = (np.arange(m)[:, None] * (S * W) + np.arange(W)).ravel()
+    base = (np.arange(n)[:, None] * (S * W) + np.arange(W)).ravel()
     tail = (S > 10000) & (counts > S // 50)
     floyd = np.where(tail, 0, counts)
-    last = base + (S - counts) * W  # cell S-k of each pair
     # Floyd's sampling, for every pair at once: pick i draws from 0..S-k+i
-    # and takes S-k+i itself when its draw is already covered
-    for i in range(s):
-        live = np.flatnonzero(floyd > i)
-        drawn = base[live] + picks[live, i] * W
-        cells[np.where(cells[drawn], last[live] + i * W, drawn)] = True
+    # and takes S-k+i itself when its draw is already covered. The pairs go
+    # by descending count, so those that make pick i are the first sizes[i]
+    # (a stable sort of a key of at most 16 bits is numpy's radix sort)
+    order = np.argsort((s - floyd).astype(np.min_scalar_type(s)), kind="stable")
+    first, last = base[order], (base + (S - counts) * W)[order]  # cells 0, S-k
+    sizes = list(accumulate(np.bincount(floyd)[:0:-1].tolist()))[::-1]
+    for i, size in enumerate(sizes):
+        drawn = first[:size] + np.multiply(picks[order[:size], i], W, dtype=np.intp)
+        covered[np.where(covered[drawn], last[:size] + i * W, drawn)] = True
+    if S <= 10000:              # choice shuffles a tail only above 10000
+        return
     # the tail shuffle swaps position S-1-i with the drawn position, and the
     # subareas it leaves in the last k positions are the covered ones; one
-    # cycle's pairs at a time, so the positions take at most m x S entries
-    for t in np.flatnonzero(tail.reshape(m, W).any(axis=0)):
+    # cycle's pairs at a time, so the positions take at most n x S entries
+    for t in np.flatnonzero(tail.reshape(n, W).any(axis=0)):
         pairs = np.flatnonzero(tail[t::W]) * W + t
         k = counts[pairs]
         shuffled = np.tile(np.arange(S), (pairs.size, 1))
@@ -280,8 +366,7 @@ def assign_coverage(params: Hyperparams, num_subareas: int,
             shuffled[live, drawn] = shuffled[live, S - 1 - i]
             shuffled[live, S - 1 - i] = held
         r, c = np.nonzero(np.arange(S) >= S - k[:, None])
-        cells[base[pairs[r]] + shuffled[r, c] * W] = True
-    return CoverageSchedule(covered)
+        covered[base[pairs[r]] + shuffled[r, c] * W] = True
 
 
 def observe(field_window: np.ndarray, schedule: CoverageSchedule,
@@ -304,11 +389,10 @@ def observe(field_window: np.ndarray, schedule: CoverageSchedule,
     check_type("noise_sigma", noise_sigma, "float")
     if noise_sigma < 0:
         raise ParameterError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
-    streams = rng.spawn(schedule.num_participants)
     out = []
-    for j, stream in enumerate(streams, start=1):
+    for j, (stream, cells) in enumerate(
+            zip(rng.spawn(schedule.num_participants), schedule.cells), start=1):
         noise = stream.normal(0.0, noise_sigma, size=window.shape)
-        cells = np.flatnonzero(schedule.covered[j - 1])
         readings = np.maximum(0.0, window.take(cells) + noise.take(cells))
         out.append(LocalObservations(j, *window.shape, cells, readings))
     return out

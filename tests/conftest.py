@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from cswa import FactorPair, LocalObservations, masked_loss
+from cswa import CoverageSchedule, FactorPair, LocalObservations, masked_loss
 
 
 @contextmanager
@@ -29,6 +29,15 @@ def dense_observations(participant_id: int, values, mask) -> LocalObservations:
     cells = np.flatnonzero(mask)
     return LocalObservations(participant_id, *values.shape, cells,
                              values.ravel()[cells])
+
+
+def dense_schedule(covered) -> CoverageSchedule:
+    """A schedule given as a dense (participants, subareas, cycles) boolean
+    mask: each participant's cells are the flat indices of its True
+    entries."""
+    covered = np.asarray(covered, dtype=bool)
+    return CoverageSchedule(covered.shape[1], covered.shape[2],
+                            [np.flatnonzero(mask) for mask in covered])
 
 
 def random_observations(seed: int, num_subareas: int = 6, window: int = 4,

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cswa import (CoverageSchedule, Field, Hyperparams, ParameterError,
-                  ParseError, assign_coverage, generate_lowrank_field, load_field_csv,
-                  observe, substream, write_field_csv)
+                  ParseError, ShapeError, assign_coverage, generate_lowrank_field,
+                  load_field_csv, observe, substream, write_field_csv)
 from cswa.datagen import _WORDS_PER_RAW, _lemire, _Words
+
+from conftest import dense_schedule
 
 
 def _params(**overrides):
@@ -163,6 +166,24 @@ def test_coverage_equals_scalar_draws(m, subareas, window, s):
             params, subareas, substream(seed, "coverage")))
 
 
+@pytest.mark.parametrize("m, subareas, window, s",
+                         test_coverage_equals_scalar_draws.pytestmark[0].args[1])
+def test_coverage_cells_equal_scalar_draws(m, subareas, window, s):
+    # the stored form: each participant's cells are the flat indices of
+    # its slice of the scalar reference, as read-only strictly increasing
+    # integer arrays
+    params = _params(num_participants=m, batch_size=1, max_subareas=s,
+                     window=window, latent=1)
+    schedule = assign_coverage(params, subareas, substream(0, "coverage"))
+    reference = _scalar_coverage(params, subareas, substream(0, "coverage"))
+    assert (schedule.num_participants, schedule.num_subareas,
+            schedule.num_cycles) == reference.shape
+    assert len(schedule.cells) == m
+    for cells, covered in zip(schedule.cells, reference):
+        assert cells.dtype == np.intp and not cells.flags.writeable
+        assert np.array_equal(cells, np.flatnonzero(covered))
+
+
 @pytest.mark.parametrize("subareas, s, seed", [(10001, 201, 2), (10000, 250, 0)])
 def test_coverage_equals_scalar_draws_at_the_tail_shuffle_bounds(subareas, s, seed):
     # choice shuffles a tail only when S > 10000 and k > S // 50: seed 2
@@ -269,16 +290,86 @@ def test_schedule_rejects_empty_cycle():
     covered = np.ones((2, 4, 3), dtype=bool)
     covered[1, :, 2] = False
     with pytest.raises(ParameterError, match="at least one subarea"):
-        CoverageSchedule(covered)
+        dense_schedule(covered)
+
+
+@pytest.mark.parametrize("shape, name", [
+    ((0, 3, 4), "cells"), ((2, 0, 4), "num_subareas"), ((2, 3, 0), "num_cycles")],
+    ids=["no-participants", "no-subareas", "no-cycles"])
+def test_schedule_rejects_empty_dimension(shape, name):
+    with pytest.raises(ParameterError, match=name):
+        dense_schedule(np.zeros(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("args, error, name", [
+    ((4.0, 3, [[0, 1, 2]]), ParameterError, "num_subareas"),
+    ((True, 3, [[0, 1, 2]]), ParameterError, "num_subareas"),
+    ((4, -1, [[0, 1, 2]]), ParameterError, "num_cycles"),
+    ((4, 3, []), ParameterError, "cells"),
+    ((4, 3, [[[0, 1, 2]]]), ShapeError, "cells of participant 1"),
+    ((4, 3, [[0, 1, 2], 5]), ShapeError, "cells of participant 2"),
+    ((4, 3, [[0.0, 1.0, 2.0]]), ParameterError, "cells must be integers"),
+    ((4, 3, [[0, 1, 2], [0, 2, 1]]), ParameterError, "cells of participant 2"),
+    ((4, 3, [[0, 1, 2], [0, 1, 1, 2]]), ParameterError, "cells of participant 2"),
+    ((4, 3, [[-1, 0, 1, 2]]), ParameterError, r"cells must lie in \[0, 12\)"),
+    ((4, 3, [[0, 1, 12]]), ParameterError, r"cells must lie in \[0, 12\)"),
+    ((4, 3, [[0, 1, 2], []]), ParameterError, "cells: participant 2"),
+    ((4, 3, [[0, 1, 2], [0, 1, 3]]), ParameterError,
+     "cells: participant 2 covers no subarea in cycle 3"),
+], ids=["float-subareas", "bool-subareas", "negative-cycles", "no-participants",
+        "2-D", "0-D", "float-cells", "unsorted", "repeated", "below-range",
+        "above-range", "empty-participant", "empty-cycle"])
+def test_schedule_rejects_bad_cells(args, error, name):
+    with pytest.raises(error, match=name):
+        CoverageSchedule(*args)
 
 
 def test_schedule_is_read_only_copy():
-    covered = np.ones((2, 4, 3), dtype=bool)
-    schedule = CoverageSchedule(covered)
-    covered[0, 0, 0] = False
-    assert schedule.covered[0, 0, 0]
+    cells = [np.array([0, 1, 2, 9]), np.array([3, 4, 5])]
+    schedule = CoverageSchedule(4, 3, cells)
+    cells[0][0] = 6
+    assert schedule.cells[0].tolist() == [0, 1, 2, 9]
+    for stored in schedule.cells:
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 6
+    covered = schedule.covered
+    assert covered.shape == (2, 4, 3) and covered.dtype == bool
+    assert not covered.flags.writeable
     with pytest.raises(ValueError):
-        schedule.covered[0, 0, 0] = False
+        covered[0, 0, 0] = False
+    # the mask is built on each access and matches the cells
+    assert covered is not schedule.covered
+    assert np.flatnonzero(covered[0]).tolist() == [0, 1, 2, 9]
+    with pytest.raises(AttributeError):
+        schedule.covered = covered
+
+
+@pytest.mark.parametrize("subareas", [200, 2000])
+def test_coverage_memory_follows_the_covered_cells(subareas):
+    # wide-network (m=200, W=100, s=10) at S=200, and at 10x the subareas.
+    # The cells take about 0.85 MiB: m x W x (s+1)/2 covered cells of 8
+    # bytes. The peak is the largest of three phases, none of which grows
+    # with S: the draws (the raw-word buffer, m streams x 2s(W+1) words x 4
+    # bytes = 1.5 MiB, and the picks, m x W x s x 4 bytes = 0.8 MiB), the
+    # marking (the picks, the 1 MiB scratch mask of one chunk of
+    # participants and the cells read off it) and the constructor's checks
+    # (the cells, their concatenated copy and two temporaries of that size,
+    # 3.4 MiB). 6 MiB is that largest phase with room to spare; a dense
+    # (m, S, W) mask alone takes m x S x W bytes, 38 MiB at S=2000. What
+    # stays is the cells and the schedule's small objects.
+    params = _params(num_participants=200, batch_size=1, max_subareas=10,
+                     window=100, latent=1)
+    rng = substream(5, "coverage")
+    tracemalloc.start()
+    try:
+        schedule = assign_coverage(params, subareas, rng)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = sum(c.nbytes for c in schedule.cells)
+    assert kept <= 1.25 * cells
+    assert peak < 6 * 2**20
 
 
 # --- observe ---
@@ -303,7 +394,7 @@ def test_observe_same_cell_independent_noise():
     field = generate_lowrank_field(4, 3, rank=1, seed=0)
     covered = np.zeros((2, 4, 3), dtype=bool)
     covered[:, 0, :] = True  # both participants cover subarea 1 every cycle
-    schedule = CoverageSchedule(covered)
+    schedule = dense_schedule(covered)
     obs = observe(field.values, schedule, 0.5, substream(7, "observe"))
     assert obs[0].r_local[0, 0] != obs[1].r_local[0, 0]
 
@@ -312,7 +403,7 @@ def test_observe_noise_std_matches_sigma():
     # sample std of (observed - true) within 5% of 0.1 over >= 1e4 cells
     rng = np.random.default_rng(0)
     truth = rng.random((30, 30)) + 5.0  # keep far from the clamp at 0
-    schedule = CoverageSchedule(np.ones((12, 30, 30), dtype=bool))
+    schedule = dense_schedule(np.ones((12, 30, 30), dtype=bool))
     obs = observe(truth, schedule, 0.1, substream(11, "observe"))
     residuals = np.concatenate([(o.r_local - truth).ravel() for o in obs])
     assert residuals.size >= 10_000
@@ -330,7 +421,7 @@ def test_observe_union_of_masks_matches_schedule():
 
 def test_observe_emits_non_negative_readings():
     truth = np.full((6, 5), 0.01)  # heavy noise would push below zero
-    schedule = CoverageSchedule(np.ones((3, 6, 5), dtype=bool))
+    schedule = dense_schedule(np.ones((3, 6, 5), dtype=bool))
     obs = observe(truth, schedule, 1.0, substream(3, "observe"))
     for o in obs:
         assert (o.r_local >= 0).all()
@@ -367,15 +458,34 @@ def test_observe_stores_no_dense_matrix():
     field = np.arange(40.0).reshape(8, 5)
     covered = np.zeros((3, 8, 5), dtype=bool)
     covered[:, :2] = True
-    obs = observe(field, CoverageSchedule(covered), 0.1, substream(0, "observe"))
+    obs = observe(field, dense_schedule(covered), 0.1, substream(0, "observe"))
     for o in obs:
         stored = [v for v in vars(o).values() if isinstance(v, np.ndarray)]
         assert stored and all(v.size == 10 for v in stored)
 
 
+def test_observe_allocates_no_dense_array():
+    # wide-network shape: an array with an entry per (participant, subarea,
+    # cycle) takes at least m x S x W bytes (3.8 MiB); observe holds the
+    # readings and cells it returns (1.75 MiB) and one participant's noise
+    # (S x W x 8 bytes) at a time
+    m, subareas, window = 200, 200, 100
+    params = _params(num_participants=m, batch_size=1, max_subareas=10,
+                     window=window, latent=1)
+    schedule = assign_coverage(params, subareas, substream(5, "coverage"))
+    field = generate_lowrank_field(subareas, window, rank=2, seed=5).values
+    tracemalloc.start()
+    try:
+        observe(field, schedule, 0.01, substream(5, "observe"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * subareas * window
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1"])
 def test_observe_rejects_bad_noise_sigma(bad):
-    schedule = CoverageSchedule(np.ones((2, 3, 4), dtype=bool))
+    schedule = dense_schedule(np.ones((2, 3, 4), dtype=bool))
     with pytest.raises(ParameterError, match="noise_sigma"):
         observe(np.ones((3, 4)), schedule, bad, substream(0, "observe"))
 

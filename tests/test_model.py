@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from cswa import (CoverageSchedule, FactorPair, Field, Hyperparams,
-                  ImputeResult, LocalObservations, ParameterError, ShapeError,
-                  build_window)
+from cswa import (FactorPair, Field, Hyperparams, ImputeResult,
+                  LocalObservations, ParameterError, ShapeError, build_window)
 from cswa import protocol
 
-from conftest import dense_observations
+from conftest import dense_observations, dense_schedule
 
 
 def test_field_rejects_negative_entries():
@@ -203,7 +202,7 @@ def test_factor_pair_product_and_scalar_count():
     lambda: Field(np.ones((2, 3))),
     lambda: LocalObservations(1, 2, 3, np.arange(6), np.ones(6)),
     lambda: FactorPair(np.ones((2, 1)), np.ones((1, 3))),
-    lambda: CoverageSchedule(np.ones((2, 2, 3), dtype=bool)),
+    lambda: dense_schedule(np.ones((2, 2, 3), dtype=bool)),
     lambda: protocol.RunResult(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 3)),
                                routes=((1,),), converged_chains=1, config={}),
     lambda: ImputeResult(np.ones((2, 3)), iterations=1),
