@@ -185,13 +185,7 @@ def cmd_sweep(config: RunConfig) -> int:
     if set(section) != required:
         raise ParameterError(f"sweep section must have exactly the keys "
                              f"{sorted(required)}, got {section!r}")
-    check_type("sweep.axis", section["axis"], "str")
-    for key in ("values", "seeds", "methods"):
-        check_type(f"sweep.{key}", section[key], "list")
-    spec = SweepSpec(base=config.params, axis=section["axis"],
-                     values=tuple(section["values"]),
-                     seeds=tuple(section["seeds"]),
-                     methods=tuple(section["methods"]))
+    spec = SweepSpec(base=config.params, **section)
     field = _build_field(config)
     records = run_sweep(spec, field, end_cycle=config.end_cycle)
 

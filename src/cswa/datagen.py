@@ -9,14 +9,14 @@ order can change what any participant observes.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ParameterError, ParseError, ShapeError
-from .model import Field, Hyperparams, LocalObservations, check_type
+from .model import (Field, Hyperparams, LocalObservations, check_cells,
+                    check_type)
 from .rng import substream
 
 
@@ -26,9 +26,11 @@ class CoverageSchedule:
 
     ``cells[j-1]`` lists participant j's covered cells as flat indices
     ``a * num_cycles + t`` (subarea a, cycle t, both 0-based), strictly
-    increasing: a read-only 1-D integer array, as ``LocalObservations.cells``
-    stores them. Every participant covers at least one subarea per cycle: a
-    participant that senses nothing in a cycle is not modeled.
+    increasing: the format :func:`~cswa.model.check_cells` checks, and the
+    arrays that ``observe`` hands on as each participant's
+    ``LocalObservations.cells``. Every participant covers at least one
+    subarea per cycle: a participant that senses nothing in a cycle is not
+    modeled.
     """
 
     num_subareas: int
@@ -42,37 +44,15 @@ class CoverageSchedule:
                 raise ParameterError(
                     f"{name} must be at least 1, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
-        rows = [np.asarray(c) for c in self.cells]
+        S, W = self.num_subareas, self.num_cycles
+        rows = tuple(check_cells(f"cells of participant {j}", c, S * W)
+                     for j, c in enumerate(self.cells, start=1))
         if not rows:
             raise ParameterError("cells must list at least one participant")
-        for j, row in enumerate(rows, start=1):
-            if row.ndim != 1:
-                raise ShapeError(f"cells of participant {j} must be a 1-D "
-                                 f"array, got shape {row.shape}")
-        for dtype in {row.dtype for row in rows if row.size}:
-            if dtype.kind not in "iu":
-                raise ParameterError(f"cells must be integers, got dtype {dtype}")
-        S, W, m = self.num_subareas, self.num_cycles, len(rows)
-        sizes = [row.size for row in rows]
-        ends = list(accumulate(sizes))
-        flat = np.concatenate(rows, dtype=np.intp, casting="unsafe")
-        # a step down or a repeat inside one participant's cells; the step
-        # from one participant's last cell to the next one's first is none
-        down = flat[1:] <= flat[:-1]
-        down[[end - 1 for end in ends if 0 < end < flat.size]] = False
-        if down.any():
-            j = bisect_right(ends, int(np.argmax(down)))
-            raise ParameterError(
-                f"cells of participant {j + 1} must be strictly increasing")
-        if flat.size and not 0 <= flat.min() <= flat.max() < S * W:
-            raise ParameterError(f"cells must lie in [0, {S * W})")
-        # each cell's (participant j, cycle t) as j * W + t, computed in
-        # place: t is flat - flat // W * W
-        pair = flat // W
-        pair *= -W
-        pair += flat
-        pair += np.repeat(np.arange(0, m * W, W), sizes)
-        held = np.zeros(m * W, dtype=bool)
+        # each cell's (participant j, cycle t) as j * W + t
+        pair = np.concatenate(rows) % W
+        pair += np.repeat(np.arange(0, len(rows) * W, W), [c.size for c in rows])
+        held = np.zeros(len(rows) * W, dtype=bool)
         held[pair] = True
         if not held.all():
             j, t = divmod(int(np.argmin(held)), W)
@@ -80,9 +60,7 @@ class CoverageSchedule:
                 f"cells: participant {j + 1} covers no subarea in cycle "
                 f"{t + 1}; every participant must cover at least one subarea "
                 "per cycle")
-        flat.setflags(write=False)
-        object.__setattr__(self, "cells", tuple(
-            flat[a:b] for a, b in zip([0, *ends], ends)))
+        object.__setattr__(self, "cells", rows)
 
     @property
     def num_participants(self) -> int:

@@ -48,22 +48,23 @@ class SweepSpec:
     methods: tuple[str, ...]
 
     def __post_init__(self):
+        check_type("sweep.axis", self.axis, "str")
         if self.axis not in AXES:
-            raise ParameterError(f"axis must be one of {sorted(AXES)}, got {self.axis!r}")
-        if not self.values:
-            raise ParameterError("sweep needs at least one axis value")
-        if not self.seeds:
-            raise ParameterError("sweep needs at least one seed")
-        if not self.methods:
-            raise ParameterError("sweep needs at least one method")
+            raise ParameterError(
+                f"sweep.axis must be one of {sorted(AXES)}, got {self.axis!r}")
+        for name in ("values", "seeds", "methods"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ParameterError(
+                    f"sweep.{name} must be a non-empty list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        for seed in self.seeds:
+            check_type("sweep.seeds", seed, "int")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ParameterError(f"unknown methods {unknown}; choose from {METHODS}")
-        for seed in self.seeds:
-            check_type("sweep seeds", seed, "int")
-        object.__setattr__(self, "values", tuple(self.values))
+            raise ParameterError(
+                f"sweep.methods has unknown methods {unknown}; choose from {METHODS}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "methods", tuple(self.methods))
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,30 @@ def check_type(name: str, value, kind: str) -> None:
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
 
 
+def check_cells(name: str, cells, size: int) -> np.ndarray:
+    """Return ``cells`` as covered-cell indices: a read-only 1-D intp array,
+    strictly increasing and inside ``[0, size)``; every error names
+    ``name``. The given array is returned as it is when no writable view can
+    reach its data (it is read-only and owns its data or views a read-only
+    array), and a read-only intp copy of it otherwise."""
+    arr = np.asarray(cells)
+    if arr.ndim != 1:
+        raise ShapeError(f"{name} must be a 1-D array, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(f"{name} must be integers, got dtype {arr.dtype}")
+    # the array that owns the data: no view of a read-only one is writable
+    base = arr if arr.base is None else arr.base
+    if (arr.dtype != np.intp or not isinstance(base, np.ndarray)
+            or base.flags.writeable):
+        arr = arr.astype(np.intp)
+        arr.setflags(write=False)
+    if (arr[1:] <= arr[:-1]).any():
+        raise ParameterError(f"{name} must be strictly increasing")
+    if arr.size and not 0 <= arr[0] <= arr[-1] < size:
+        raise ParameterError(f"{name} must lie in [0, {size})")
+    return arr
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Run parameters and behaviour flags: everything a run depends on
@@ -204,24 +228,17 @@ class LocalObservations:
         if self.num_subareas < 1 or self.window < 1:
             raise ParameterError("num_subareas and window must be positive, got "
                                  f"{self.num_subareas} and {self.window}")
-        cells, readings = np.array(self.cells), np.array(self.readings, np.float64)
-        if cells.ndim != 1 or readings.shape != cells.shape:
-            raise ShapeError(f"cells {cells.shape} and readings {readings.shape} "
-                             "must be 1-D arrays of one length")
-        if cells.size and cells.dtype.kind not in "iu":
-            raise ParameterError(f"cells must be integers, got dtype {cells.dtype}")
-        cells = cells.astype(np.intp)
-        if (np.diff(cells) <= 0).any():
-            raise ParameterError("cells must be strictly increasing")
-        if cells.size and not 0 <= cells[0] <= cells[-1] < self.num_subareas * self.window:
-            raise ParameterError(f"cells must lie in [0, {self.num_subareas * self.window})")
+        cells = check_cells("cells", self.cells, self.num_subareas * self.window)
+        readings = np.array(self.readings, np.float64)
+        if readings.shape != cells.shape:
+            raise ShapeError(f"readings {readings.shape} must match cells {cells.shape}")
         if not np.isfinite(readings).all():
             raise ParameterError("readings must be finite")
         if (readings < 0).any():
             raise ParameterError("readings must be non-negative")
-        for name, arr in (("cells", cells), ("readings", readings)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        readings.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "readings", readings)
 
     def _dense(self, values) -> np.ndarray:
         dense = np.zeros(self.num_subareas * self.window)

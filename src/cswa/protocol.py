@@ -261,15 +261,6 @@ def _walk(route: list[int], need: int, rng: np.random.Generator,
             append(pick)
 
 
-def _draw_next(rng: np.random.Generator, params: Hyperparams,
-               prev: int | None, current: int) -> int:
-    """The next hop of a chain at ``current`` sent by ``prev`` (None: the
-    organizer), by :func:`_walk`'s rule: one draw over the candidates."""
-    route = [current] if prev is None else [prev, current]
-    _walk(route, 1, rng, params)
-    return route[-1]
-
-
 def participant_step(msg: ChainMessage, obs: LocalObservations,
                      params: Hyperparams,
                      rng: np.random.Generator) -> Continue | Finished:
@@ -295,10 +286,11 @@ def participant_step(msg: ChainMessage, obs: LocalObservations,
     iteration = msg.iteration + 1
     delta = grads.max_abs()
     if delta > params.grad_tol and iteration < params.max_iters:
-        next_participant = _draw_next(rng, params, msg.prev_participant,
-                                      obs.participant_id)
-        return Continue(next_participant,
-                        ChainMessage(new_factors, iteration, obs.participant_id))
+        sender, current = msg.prev_participant, obs.participant_id
+        route = [current] if sender is None else [sender, current]
+        _walk(route, 1, rng, params)
+        return Continue(route[-1],
+                        ChainMessage(new_factors, iteration, current))
     return Finished(new_factors, iteration, converged=delta <= params.grad_tol)
 
 
@@ -351,7 +343,8 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
         ps.append(factors.p)
         qs.append(factors.q)
         # the first hop's draw: nothing reads the stream before it is due
-        routes.append([start, _draw_next(chain_rng, params, None, start)])
+        routes.append([start])
+        _walk(routes[-1], 1, chain_rng, params)
     stack = _Stack(_pack(np.stack(ps), np.stack(qs)), table, params.reg_p,
                    params.reg_q)
     final_x = np.empty_like(stack.x)
@@ -403,6 +396,14 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     return (*_unpack(final_x, num_subareas, window), converged, routes)
 
 
+def _window_shape(all_obs: list[LocalObservations]) -> tuple[int, int]:
+    """The (subareas, window) shape that every observation set shares."""
+    shapes = {(obs.num_subareas, obs.window) for obs in all_obs}
+    if len(shapes) != 1:
+        raise ShapeError(f"observation windows disagree in shape: {shapes}")
+    return shapes.pop()
+
+
 def run_simulation(all_obs: list[LocalObservations],
                    params: Hyperparams) -> RunResult:
     """Execute a full run: batch initialization, every chain to completion,
@@ -426,10 +427,7 @@ def run_simulation(all_obs: list[LocalObservations],
             raise ParameterError(
                 f"observations must be ordered by participant id; position "
                 f"{idx} holds participant {obs.participant_id}")
-    shapes = {(obs.num_subareas, obs.window) for obs in all_obs}
-    if len(shapes) != 1:
-        raise ShapeError(f"observation windows disagree in shape: {shapes}")
-    num_subareas, window = shapes.pop()
+    num_subareas, window = _window_shape(all_obs)
     if window != params.window:
         raise ShapeError(
             f"observation window ({window}) does not match params.window "
@@ -529,10 +527,7 @@ def aggregate_for_baseline(all_obs: list[LocalObservations]) -> LocalObservation
     """
     if not all_obs:
         raise ParameterError("aggregation needs at least one participant")
-    shapes = {(obs.num_subareas, obs.window) for obs in all_obs}
-    if len(shapes) != 1:
-        raise ShapeError(f"observation windows disagree in shape: {shapes}")
-    (num_subareas, window), = shapes
+    num_subareas, window = _window_shape(all_obs)
     counts = np.zeros(num_subareas * window)
     sums = np.zeros(num_subareas * window)
     # participant by participant, as a dense sum would add them

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from cswa import (CoverageSchedule, Field, Hyperparams, ParameterError,
-                  ParseError, ShapeError, assign_coverage, generate_lowrank_field,
-                  load_field_csv, observe, substream, write_field_csv)
+from cswa import (CoverageSchedule, Field, Hyperparams, LocalObservations,
+                  ParameterError, ParseError, ShapeError, assign_coverage,
+                  generate_lowrank_field, load_field_csv, observe, substream,
+                  write_field_csv)
 from cswa.datagen import _WORDS_PER_RAW, _lemire, _Words
 
 from conftest import dense_schedule
@@ -308,11 +309,14 @@ def test_schedule_rejects_empty_dimension(shape, name):
     ((4, 3, []), ParameterError, "cells"),
     ((4, 3, [[[0, 1, 2]]]), ShapeError, "cells of participant 1"),
     ((4, 3, [[0, 1, 2], 5]), ShapeError, "cells of participant 2"),
-    ((4, 3, [[0.0, 1.0, 2.0]]), ParameterError, "cells must be integers"),
+    ((4, 3, [[0.0, 1.0, 2.0]]), ParameterError,
+     "cells of participant 1 must be integers"),
     ((4, 3, [[0, 1, 2], [0, 2, 1]]), ParameterError, "cells of participant 2"),
     ((4, 3, [[0, 1, 2], [0, 1, 1, 2]]), ParameterError, "cells of participant 2"),
-    ((4, 3, [[-1, 0, 1, 2]]), ParameterError, r"cells must lie in \[0, 12\)"),
-    ((4, 3, [[0, 1, 12]]), ParameterError, r"cells must lie in \[0, 12\)"),
+    ((4, 3, [[-1, 0, 1, 2]]), ParameterError,
+     r"cells of participant 1 must lie in \[0, 12\)"),
+    ((4, 3, [[0, 1, 12]]), ParameterError,
+     r"cells of participant 1 must lie in \[0, 12\)"),
     ((4, 3, [[0, 1, 2], []]), ParameterError, "cells: participant 2"),
     ((4, 3, [[0, 1, 2], [0, 1, 3]]), ParameterError,
      "cells: participant 2 covers no subarea in cycle 3"),
@@ -467,8 +471,8 @@ def test_observe_stores_no_dense_matrix():
 def test_observe_allocates_no_dense_array():
     # wide-network shape: an array with an entry per (participant, subarea,
     # cycle) takes at least m x S x W bytes (3.8 MiB); observe holds the
-    # readings and cells it returns (1.75 MiB) and one participant's noise
-    # (S x W x 8 bytes) at a time
+    # readings it returns (0.84 MiB; the cells are the schedule's) and one
+    # participant's noise (S x W x 8 bytes) at a time
     m, subareas, window = 200, 200, 100
     params = _params(num_participants=m, batch_size=1, max_subareas=10,
                      window=window, latent=1)
@@ -481,6 +485,78 @@ def test_observe_allocates_no_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < m * subareas * window
+
+
+@pytest.mark.parametrize("m, subareas, window, s", [
+    (10, 20, 30, 3), (200, 200, 100, 10)], ids=["readme", "wide-network"])
+def test_observations_share_the_schedules_cells(m, subareas, window, s):
+    params = _params(num_participants=m, batch_size=1, max_subareas=s,
+                     window=window, latent=1)
+    schedule = assign_coverage(params, subareas, substream(2, "coverage"))
+    field = generate_lowrank_field(subareas, window, rank=1, seed=2).values
+    obs = observe(field, schedule, 0.01, substream(2, "observe"))
+    for o, cells in zip(obs, schedule.cells, strict=True):
+        assert np.shares_memory(o.cells, cells)
+
+
+def test_observe_keeps_the_readings_only():
+    # wide-network shape, whose readings take 0.84 MiB at 8 bytes a cell.
+    # The cells are intp, 8 bytes a cell too, so a copy of them in every
+    # participant's observations would keep 2x the readings' bytes (2.08x
+    # measured). Sharing the schedule's cells keeps the readings and, per
+    # participant, one LocalObservations and its readings' array header,
+    # about 250 bytes each: 1.05-1.06x on seeds 0-2. 1.15x allows 660
+    # bytes per participant and stays well below a second copy.
+    params = _params(num_participants=200, batch_size=1, max_subareas=10,
+                     window=100, latent=1)
+    schedule = assign_coverage(params, 200, substream(0, "coverage"))
+    field = generate_lowrank_field(200, 100, rank=8, seed=0).values
+    tracemalloc.start()
+    try:
+        obs = observe(field, schedule, 0.01, substream(0, "observe"))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.15 * sum(o.readings.nbytes for o in obs)
+
+
+def _locked(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# each returns the cells to pass and the array that owns their data
+_GIVEN = {
+    "writable": lambda source: (source, source),
+    "int32": lambda source: 2 * (_locked(source.astype(np.int32)),),
+    "read-only-view": lambda source: (_locked(source[:]), source),
+}
+
+
+@pytest.mark.parametrize("given", _GIVEN.values(), ids=_GIVEN)
+def test_cells_reachable_by_a_writable_array_are_copied(given):
+    # cells of another dtype, and cells whose data a writable array can
+    # still reach, are copied: a later write to the caller's array leaves
+    # the stored cells as they were checked
+    cells, owner = given(np.array([0, 1, 2, 9, 10], dtype=np.intp))
+    schedule = CoverageSchedule(4, 3, [cells])
+    obs = LocalObservations(1, 4, 3, cells, np.ones(5))
+    owner.setflags(write=True)
+    owner[:] = [11, 10, 9, 8, 7]
+    for stored in (schedule.cells[0], obs.cells):
+        assert stored.tolist() == [0, 1, 2, 9, 10]
+        assert stored.dtype == np.intp and not stored.flags.writeable
+        assert not np.shares_memory(stored, owner)
+
+
+def test_read_only_cells_are_kept():
+    # a read-only intp array that owns its data, and a read-only view of
+    # one, are stored as given
+    cells = np.array([0, 1, 2, 9, 10], dtype=np.intp)
+    cells.setflags(write=False)
+    for given in (cells, cells[1:]):
+        assert CoverageSchedule(4, 3, [cells, given]).cells[1] is given
+        assert LocalObservations(1, 4, 3, given, np.ones(given.size)).cells is given
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1"])

@@ -187,6 +187,23 @@ def test_sweep_spec_validation():
                   methods=("gradient-boosting",))
 
 
+@pytest.mark.parametrize("edit, name", [
+    ({"axis": ["m"]}, "sweep.axis"),
+    ({"values": "48"}, "sweep.values"),
+    ({"values": 8}, "sweep.values"),
+    ({"seeds": 3}, "sweep.seeds"),
+    ({"methods": "cswa"}, "sweep.methods"),
+], ids=["axis-list", "values-string", "values-scalar", "seeds-scalar",
+        "methods-string"])
+def test_sweep_spec_rejects_malformed_fields(edit, name):
+    # a string is not a list of one-character values, and a list axis is
+    # no axis name: each is refused with the field named
+    spec = dict(base=_base(), axis="m", values=(8,), seeds=(0,),
+                methods=("cswa",))
+    with pytest.raises(ParameterError, match=name):
+        SweepSpec(**dict(spec, **edit))
+
+
 def test_median_errors_and_csv():
     field = generate_lowrank_field(12, 10, rank=2, seed=7)
     spec = SweepSpec(base=_base(), axis="m", values=(6, 8), seeds=(0, 1, 2),

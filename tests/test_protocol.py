@@ -13,7 +13,7 @@ from cswa import (ORGANIZER, ChainMessage, Continue, FactorPair, Finished,
                   run_simulation, substream)
 from cswa import protocol
 from cswa.factorization import gather_table
-from cswa.protocol import _draw_next
+from cswa.protocol import _walk
 
 from conftest import (dense_observations, random_factors, reference_json,
                       warnings_as_errors)
@@ -108,9 +108,10 @@ def test_draw_next_matches_candidate_list(num_participants, exclude_self):
         for current in range(1, num_participants + 1):
             fast, slow = substream(1, "draw"), substream(1, "draw")
             for _ in range(20):
-                assert (_draw_next(fast, params, prev, current)
-                        == _draw_by_candidate_list(slow, num_participants,
-                                                   exclude_self, prev, current))
+                route = [current] if prev is None else [prev, current]
+                _walk(route, 1, fast, params)
+                assert route[-1] == _draw_by_candidate_list(
+                    slow, num_participants, exclude_self, prev, current)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 198, 1000, 2**31 + 5, 2**40])
@@ -158,8 +159,7 @@ def test_routes_replay_scalar_draws(monkeypatch, num_participants,
                     init_factors(8, params.window, params.latent, 1.0, rng)
                     replay = [route[0]]
                     while len(replay) < len(route):
-                        prev = replay[-2] if len(replay) > 1 else None
-                        replay.append(_draw_next(rng, params, prev, replay[-1]))
+                        _walk(replay, 1, rng, params)
                     assert tuple(replay) == route
                     assert len(route) == max_iters or grad_tol > 0
                     if len(route) < max_iters:
