@@ -291,17 +291,25 @@ def _covered_cells(num_subareas: int, counts: np.ndarray,
     """Each participant's covered cells, from the counts and draws that
     :func:`_draw_cycles` returns. Floyd's "already covered?" test reads a
     dense mask, made for as many participants as fit ``_SCRATCH_BYTES`` (one
-    at least) at a time; each chunk's cells are read off it before the next."""
+    at least) at a time; each chunk's cells are read off it before the next.
+    Each participant's cells are a read-only array that owns its data, which
+    :class:`CoverageSchedule` stores without a copy."""
     m, W, _ = picks.shape
     chunk = max(1, _SCRATCH_BYTES // (num_subareas * W))
     scratch = np.zeros((min(m, chunk), num_subareas * W), dtype=bool)
+    positions = np.arange(num_subareas * W, dtype=np.intp)
     rows = []
     for first in range(0, m, chunk):
         if first:
             scratch.fill(False)
         part = slice(first, first + chunk)
         _cover(scratch.reshape(-1), counts[part], picks[part], num_subareas)
-        rows += [row.nonzero()[0] for row in scratch[:len(counts[part])]]
+        for row in scratch[:len(counts[part])]:
+            # a boolean index returns a new array, where nonzero() would
+            # return a view of a writable one
+            cells = positions[row]
+            cells.setflags(write=False)
+            rows.append(cells)
     return rows
 
 
@@ -372,6 +380,7 @@ def observe(field_window: np.ndarray, schedule: CoverageSchedule,
             zip(rng.spawn(schedule.num_participants), schedule.cells), start=1):
         noise = stream.normal(0.0, noise_sigma, size=window.shape)
         readings = np.maximum(0.0, window.take(cells) + noise.take(cells))
+        readings.setflags(write=False)   # so the observations keep it
         out.append(LocalObservations(j, *window.shape, cells, readings))
     return out
 

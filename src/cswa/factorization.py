@@ -25,8 +25,9 @@ form: row i of ``x`` holds pair i's P (row-major) followed by its Q, so
 the regularizer, the update, the truncation and the convergence statistic
 are one numpy call each for the whole stack, and so is the finiteness
 test whenever every pair is finite. A stack makes its buffers and their
-views once and reuses them every hop; a hop reads its pairs' cells and
-readings from :meth:`_Stack.gather`, one call of which can serve many hops.
+views once and reuses them every hop, so a hop allocates nothing; a hop
+reads its pairs' cells and readings from :meth:`_Stack.gather`, one call
+of which can serve many hops, into buffers the caller may reuse.
 
 The residual F o (R - PQ) is evaluated at the covered cells only, through
 a :class:`GatherTable` of every participant's covered cells and readings,
@@ -124,9 +125,9 @@ class _Stack:
 
     ``x`` holds the pairs' packed rows (the stack keeps and overwrites the
     array it is given, or a C-contiguous copy of it) and ``g`` their
-    gradients from the last evaluation. The buffers
-    a hop writes, and the views of each, are made once per stack, so a hop
-    allocates only what numpy's gathers and reductions return.
+    gradients from the last evaluation. The buffers a hop writes, the
+    views of each and the deltas it returns are made once per stack, so a
+    hop allocates nothing.
     """
 
     def __init__(self, x: np.ndarray, table: GatherTable, reg_p: float,
@@ -146,10 +147,12 @@ class _Stack:
         self._padded = np.zeros((n, s * w + 1))
         self._flat = self._padded.reshape(-1)
         self._residual = self._padded[:, :s * w].reshape(n, s, w)
+        # R - PQ at each pair's cells, as a hop gathers it
+        self._covered = np.empty((n, table.cells.shape[1]))
         # where pair i's residual starts in the flat residuals
         self._offsets = np.arange(n, dtype=np.intp)[:, None] * (s * w + 1)
-        # the last hop's signed step and deltas, which a hop that no pair
-        # has made yet leaves finite
+        # the last hop's signed step and deltas, which every hop rewrites
+        # and which a stack that has made no hop yet leaves finite
         self._step, self._delta = 0.0, np.zeros(n)
 
     @staticmethod
@@ -161,14 +164,31 @@ class _Stack:
     def x(self) -> np.ndarray:
         return self._rows[0][0]
 
-    def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gather(self, ids: np.ndarray, out: tuple[np.ndarray, np.ndarray]
+               | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The cells and readings that step pair i on table row
         ``ids[..., i]``: the row's covered cells, offset to pair i's
         residual, and its readings, each of shape ``ids.shape + (width,)``.
-        One gather serves as many hops as ``ids`` has leading rows."""
-        cells = self._table.cells.take(ids, axis=0)
+        One gather serves as many hops as ``ids`` has leading rows.
+
+        Every id must lie in ``[0, k)`` for a table of k rows: the gather
+        clips, and does not check, its indices. With ``out``, a flat intp
+        and a flat float64 buffer of at least ``ids.size * width`` entries
+        each, the cells and readings are written to a prefix of each and
+        the prefixes returned; what lies past them is left as it was."""
+        shape = ids.shape + self._table.cells.shape[1:]
+        cells_out = readings_out = None
+        if out is not None:
+            count = math.prod(shape)
+            cells_out, readings_out = (buffer[:count].reshape(shape)
+                                       for buffer in out)
+        # mode="clip" writes into ``out`` directly, where the default mode
+        # would gather into a temporary and copy it over
+        cells = self._table.cells.take(ids, axis=0, out=cells_out,
+                                       mode="clip")
         cells += self._offsets
-        return cells, self._table.readings.take(ids, axis=0)
+        return cells, self._table.readings.take(ids, axis=0, out=readings_out,
+                                                mode="clip")
 
     def residuals(self, cells: np.ndarray,
                   readings: np.ndarray) -> np.ndarray:
@@ -178,7 +198,8 @@ class _Stack:
         _, p, q, _, _ = self._rows[0]
         flat = self._flat
         np.matmul(p, q, out=self._residual)
-        covered = readings - flat[cells]
+        covered = flat.take(cells, out=self._covered, mode="clip")
+        np.subtract(readings, covered, out=covered)
         np.multiply(self._padded, 0.0, out=self._padded)
         flat[cells] = covered
         return self._residual
@@ -201,21 +222,24 @@ class _Stack:
         ``cells[i]`` and ``readings[i]`` (one hop's rows of :meth:`gather`),
         with the signed step ``step``.
 
-        Returns delta: ``delta[i]`` is pair i's max(|g_p|_inf, |g_q|_inf).
-        An update that overflows is not reported here but by
-        :meth:`all_finite` and :meth:`finite`, so each caller that reports
-        divergence silences numpy's overflow and invalid-value warnings
-        around its hops, once per loop rather than once per hop. Each pair
-        goes through the same float operations in the same order as it
-        would alone, so the stack size never changes a result.
+        Returns delta: ``delta[i]`` is pair i's max(|g_p|_inf, |g_q|_inf),
+        in an array that the next hop overwrites. An update that overflows
+        is not reported here but by :meth:`all_finite` and :meth:`finite`,
+        so each caller that reports divergence silences numpy's overflow
+        and invalid-value warnings around its hops, once per loop rather
+        than once per hop. Each pair goes through the same float operations
+        in the same order as it would alone, so the stack size never
+        changes a result.
         """
         g = self.gradients(cells, readings)
         x, new_x = self.x, self._rows[1][0]
         np.multiply(step, g, out=new_x)
         np.add(x, new_x, out=new_x)
         np.maximum(new_x, 0.0, out=new_x)
+        # the old rows are free once the new ones are written: they hold |g|
+        np.abs(g, out=x).max(axis=1, out=self._delta)
         self._rows.reverse()
-        self._step, self._delta = step, np.abs(g).max(axis=1)
+        self._step = step
         return self._delta
 
     def all_finite(self) -> bool:

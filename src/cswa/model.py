@@ -86,23 +86,30 @@ def check_type(name: str, value, kind: str) -> None:
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
 
 
+def _locked(arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` itself when it is of ``dtype`` and no writable view can
+    reach its data (it is read-only and owns its data or views a read-only
+    array), and a read-only copy of it as ``dtype`` otherwise."""
+    # the array that owns the data: no view of a read-only one is writable
+    base = arr if arr.base is None else arr.base
+    if (arr.dtype != dtype or not isinstance(base, np.ndarray)
+            or base.flags.writeable):
+        arr = arr.astype(dtype)
+        arr.setflags(write=False)
+    return arr
+
+
 def check_cells(name: str, cells, size: int) -> np.ndarray:
     """Return ``cells`` as covered-cell indices: a read-only 1-D intp array,
     strictly increasing and inside ``[0, size)``; every error names
-    ``name``. The given array is returned as it is when no writable view can
-    reach its data (it is read-only and owns its data or views a read-only
-    array), and a read-only intp copy of it otherwise."""
+    ``name``. The given array is returned as it is when no writable view
+    can reach it, and a copy otherwise (see :func:`_locked`)."""
     arr = np.asarray(cells)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be a 1-D array, got shape {arr.shape}")
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(f"{name} must be integers, got dtype {arr.dtype}")
-    # the array that owns the data: no view of a read-only one is writable
-    base = arr if arr.base is None else arr.base
-    if (arr.dtype != np.intp or not isinstance(base, np.ndarray)
-            or base.flags.writeable):
-        arr = arr.astype(np.intp)
-        arr.setflags(write=False)
+    arr = _locked(arr, np.intp)
     if (arr[1:] <= arr[:-1]).any():
         raise ParameterError(f"{name} must be strictly increasing")
     if arr.size and not 0 <= arr[0] <= arr[-1] < size:
@@ -204,9 +211,11 @@ class LocalObservations:
 
     ``cells`` holds the flat row-major indices of the covered cells,
     strictly increasing, and ``readings`` the reading at each, in the same
-    order. ``r_local`` (readings, 0 elsewhere) and ``f_mask`` (1 at the
-    covered cells, 0 elsewhere) are dense S x W views, built anew and
-    read-only on each access; nothing in the package reads them per hop.
+    order. Both are stored read-only: an array that no writable view can
+    reach is stored as given, and any other as a copy (see :func:`_locked`).
+    ``r_local`` (readings, 0 elsewhere) and ``f_mask`` (1 at the covered
+    cells, 0 elsewhere) are dense S x W views, built anew and read-only on
+    each access; nothing in the package reads them per hop.
 
     ``participant_id`` 0 is reserved for the organizer-side aggregate that
     feeds the centralized baselines; real participants are numbered 1..m.
@@ -229,14 +238,17 @@ class LocalObservations:
             raise ParameterError("num_subareas and window must be positive, got "
                                  f"{self.num_subareas} and {self.window}")
         cells = check_cells("cells", self.cells, self.num_subareas * self.window)
-        readings = np.array(self.readings, np.float64)
+        readings = np.asarray(self.readings)
+        if readings.size and readings.dtype.kind not in "biuf":
+            raise ParameterError(
+                f"readings must be real numbers, got dtype {readings.dtype}")
         if readings.shape != cells.shape:
             raise ShapeError(f"readings {readings.shape} must match cells {cells.shape}")
+        readings = _locked(readings, np.float64)
         if not np.isfinite(readings).all():
             raise ParameterError("readings must be finite")
         if (readings < 0).any():
             raise ParameterError("readings must be non-negative")
-        readings.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "readings", readings)
 

@@ -15,8 +15,12 @@ least one and at most N; a block's factors are one packed array, a row per
 chain. Every block reads one gather table of all participants' covered
 cells and readings, built once per run. A chain's route depends on its
 stream alone, so a block draws its chains' next hops a window of up to 64
-rounds ahead and gathers the window's table rows at once; only a round in
-which a chain stops steps through the chains one by one. Participants are
+rounds ahead and gathers the window's table rows at once, into two buffers
+that the run allocates next to the table and every window reuses; only a
+round in which a chain stops steps through the chains one by one. A round
+tests its factors for overflow against a running bound on the block's
+largest entry, and makes the exact test only when the bound is too high
+to rule one out. Participants are
 stateless with respect to chains (factors live in the message,
 observations are read-only), each chain draws from its own stream derived
 from (seed, chain_id), and each chain's arithmetic is the same in any
@@ -67,6 +71,10 @@ _BLOCK_BYTES = 512 * 1024
 
 # A block draws its routes at most this many rounds ahead of its hops.
 _WINDOW_ROUNDS = 64
+
+# A round whose bound on the block's factor entries, and whose growth of
+# that bound, stay below this has no overflow to find (see _run_block).
+_FINITE_BOUND = 1e300
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,8 @@ def recover(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, FactorPair]:
 
 
 def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
-               table: GatherTable, first_id: int, starts: list[int]
+               table: GatherTable, buffers: tuple[np.ndarray, np.ndarray],
+               first_id: int, starts: list[int]
                ) -> tuple[np.ndarray, np.ndarray, list[bool], list[list[int]]]:
     """Run chains ``first_id, first_id + 1, ...`` from participants
     ``starts`` to completion, stepping every live chain of the block in one
@@ -318,13 +327,21 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     A chain's hops depend only on its own stream, never on its factors, so
     the block walks its live chains' routes up to a window of rounds ahead,
     each with one draw of the hops it lacks, and gathers the window's cells
-    and readings at once; a round then reads its row of the window. A round
-    in which every live chain is finite and above ``grad_tol`` makes no
-    per-chain Python call: one hop, one reduction of the deltas and one
-    block-wide finiteness test. Only a round in which a chain stops goes
-    chain by chain; it truncates the stopped chains' routes to the hops
-    they made, drops them from the stack and ends the window. The next
-    window starts at the following round and holds no state but the
+    and readings at once into a prefix of ``buffers`` (see
+    :meth:`~cswa.factorization._Stack.gather`); a round then reads its row
+    of the window. Rows that an earlier window or block left past the
+    prefix are never read. A round in which every live chain is finite and
+    above ``grad_tol`` makes no per-chain Python call and no reduction
+    beyond the hop's deltas. Its finiteness test is a running upper bound
+    on the block's largest factor entry: ``x.max()`` at the window's start,
+    plus ``step_size * sum(delta)`` per round, since a hop moves pair i's
+    entries by at most ``step_size * delta[i]``. While the bound and the
+    round's growth of it stay below ``_FINITE_BOUND``, every factor and
+    update is finite; otherwise the round makes the exact block-wide test,
+    and a false alarm costs only that test. Only a round in which a chain
+    stops goes chain by chain; it truncates the stopped chains' routes to
+    the hops they made, drops them from the stack and ends the window. The
+    next window starts at the following round and holds no state but the
     survivors' routes, which are already walked through the old window.
 
     A chain whose update is not finite retires; once the block is done, the
@@ -348,8 +365,9 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
     stack = _Stack(_pack(np.stack(ps), np.stack(qs)), table, params.reg_p,
                    params.reg_q)
     final_x = np.empty_like(stack.x)
-    step = (-1.0 if params.literal_update else 1.0) * params.step_size
-    grad_tol, max_iters = params.grad_tol, params.max_iters
+    step_size, grad_tol, max_iters = (params.step_size, params.grad_tol,
+                                      params.max_iters)
+    step = (-1.0 if params.literal_update else 1.0) * step_size
     converged = [False] * len(starts)
     diverged: list[tuple[int, int]] = []
     live = list(range(len(starts)))   # block positions of the live chains
@@ -365,11 +383,15 @@ def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
                     _walk(routes[c], end - len(routes[c]), rngs[c], params)
             rows = np.array([routes[c][iteration:end] for c in live],
                             dtype=np.intp).T - 1
-            for hop_cells, hop_readings in zip(*stack.gather(rows)):
+            bound = float(stack.x.max())
+            for hop_cells, hop_readings in zip(*stack.gather(rows, buffers)):
                 iteration += 1
                 delta = stack.hop(hop_cells, hop_readings, step).tolist()
+                growth = step_size * sum(delta)
+                bound += growth
                 if (iteration < max_iters and min(delta) > grad_tol
-                        and stack.all_finite()):
+                        and ((bound < _FINITE_BOUND and growth < _FINITE_BOUND)
+                             or stack.all_finite())):
                     continue
                 keep, done = [], []
                 for i, (c, ok, d) in enumerate(zip(
@@ -442,8 +464,13 @@ def run_simulation(all_obs: list[LocalObservations],
     size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8),
                       len(starters)))
     table = gather_table(all_obs)
+    # a window's gathered cells and readings, at most a window's rounds of
+    # a block's rows, for every window of every block to reuse
+    rounds = min(params.max_iters, _WINDOW_ROUNDS)
+    length = rounds * size * table.cells.shape[1]
+    buffers = np.empty(length, dtype=np.intp), np.empty(length)
     ps, qs, converged, routes = zip(*(
-        _run_block(all_obs, params, table, first + 1,
+        _run_block(all_obs, params, table, buffers, first + 1,
                    starters[first:first + size])
         for first in range(0, len(starters), size)))
     converged = np.concatenate(converged)

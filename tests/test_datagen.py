@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from cswa import (CoverageSchedule, Field, Hyperparams, LocalObservations,
                   ParameterError, ParseError, ShapeError, assign_coverage,
-                  generate_lowrank_field, load_field_csv, observe, substream,
-                  write_field_csv)
+                  datagen, generate_lowrank_field, load_field_csv, observe,
+                  substream, write_field_csv)
 from cswa.datagen import _WORDS_PER_RAW, _lemire, _Words
 
 from conftest import dense_schedule
@@ -518,6 +518,36 @@ def test_observe_keeps_the_readings_only():
     finally:
         tracemalloc.stop()
     assert kept <= 1.15 * sum(o.readings.nbytes for o in obs)
+
+
+def test_drawn_cells_and_observed_readings_are_stored_without_a_copy(
+        monkeypatch):
+    # assign_coverage hands the schedule each participant's cells, and
+    # observe hands its observations their readings, as read-only arrays
+    # that own their data, so neither constructor copies them
+    drawn, observed = [], []
+    covered_cells = datagen._covered_cells
+
+    def recording_covered_cells(*args):
+        drawn.extend(covered_cells(*args))
+        return drawn
+
+    def recording_observations(*args):
+        observed.append(args[-1])
+        return LocalObservations(*args)
+
+    monkeypatch.setattr(datagen, "_covered_cells", recording_covered_cells)
+    monkeypatch.setattr(datagen, "LocalObservations", recording_observations)
+    params = _params(num_participants=40, batch_size=1, max_subareas=4,
+                     window=30, latent=1)
+    schedule = assign_coverage(params, 60, substream(4, "coverage"))
+    field = generate_lowrank_field(60, 30, rank=2, seed=4).values
+    obs = observe(field, schedule, 0.01, substream(4, "observe"))
+    assert len(drawn) == len(observed) == params.num_participants
+    for stored, given in zip(schedule.cells, drawn, strict=True):
+        assert stored is given and given.base is None
+    for o, given in zip(obs, observed, strict=True):
+        assert o.readings is given and given.base is None
 
 
 def _locked(arr):

@@ -130,6 +130,30 @@ def test_local_observations_rejects_bad_input(args, error, name):
         LocalObservations(*args)
 
 
+@pytest.mark.parametrize("readings", [["a", "b"], [1.0, None],
+                                      [1.0 + 0j, 2.0]],
+                         ids=["strings", "none", "complex"])
+def test_local_observations_reject_non_numeric_readings(readings):
+    with pytest.raises(ParameterError, match="readings"):
+        LocalObservations(1, 2, 3, [0, 2], readings)
+
+
+def test_local_observations_keep_unreachable_readings():
+    # read-only float64 readings that own their data, or view an array that
+    # does, are stored as given; readings of another dtype, or that a
+    # writable array can still reach, are stored as a read-only copy
+    locked = np.array([1.0, 2.0, 3.0])
+    locked.setflags(write=False)
+    for given in (locked, locked[:]):
+        assert LocalObservations(1, 2, 3, [0, 2, 4], given).readings is given
+    writable = np.array([1.0, 2.0, 3.0])
+    for given in (writable, writable[:], locked.astype(np.float32)):
+        stored = LocalObservations(1, 2, 3, [0, 2, 4], given).readings
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        assert stored.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(stored, given)
+
+
 def test_local_observations_store_no_dense_matrix():
     # a participant keeps its covered cells and readings only; the dense
     # views are made on each access, read-only, and match the dense form

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cswa import Hyperparams, audit_transcript, factorization, \
     generate_lowrank_field, protocol, run_simulation
 from cswa.evaluation import build_inputs
+from cswa.factorization import GatherTable
 
 from conftest import reference_json
 
@@ -105,3 +107,46 @@ def test_literal_update_non_negative_at_every_hop(hop_log):
     result = run_simulation(observations, params)
     assert sum(pairs for pairs, _ in hop_log) == sum(result.per_chain_iters)
     assert min(least for _, least in hop_log) == 0.0
+
+
+_MAGNITUDES = st.one_of(st.floats(0, 10), st.floats(1e99, 1e101),
+                        st.floats(1e150, 1e308),
+                        st.just(np.finfo(np.float64).max))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_fast_path_bound_implies_all_finite(data):
+    # _run_block skips the exact finiteness test of a round while its bound
+    # on the block's largest factor entry (x.max() at the window's start,
+    # plus step_size * sum(delta) per round) and the round's growth of it
+    # stay below _FINITE_BOUND; whenever they do, the exact test must pass.
+    # Factors up to the float maximum, and table rows with one reading of
+    # 1e200, 1e308, inf or NaN, overflow the residual, the gradients or the
+    # update, or stay just below doing so
+    pairs, rows, rounds = (data.draw(st.integers(1, n)) for n in (3, 3, 6))
+    s, w, latent = 3, 4, 2
+    x = data.draw(arrays(np.float64, (pairs, (s + w) * latent),
+                         elements=_MAGNITUDES))
+    readings = data.draw(arrays(np.float64, (rows, s * w),
+                                elements=st.floats(0, 10)))
+    for row in readings:
+        bad = data.draw(st.sampled_from([None, 1e200, 1e308, np.inf, np.nan]))
+        if bad is not None:
+            row[data.draw(st.integers(0, s * w - 1))] = bad
+    table = GatherTable(np.tile(np.arange(s * w), (rows, 1)), readings, s, w)
+    step_size = data.draw(st.sampled_from([1e-3, 1.0]))
+    step = data.draw(st.sampled_from([-1.0, 1.0])) * step_size
+    reg = data.draw(st.sampled_from([0.0, 1e-4, 1.0]))
+    ids = data.draw(arrays(np.intp, (rounds, pairs),
+                           elements=st.integers(0, rows - 1)))
+    stack = factorization._Stack(x, table, reg, reg)
+    bound = float(stack.x.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hop_cells, hop_readings in zip(*stack.gather(ids)):
+            delta = stack.hop(hop_cells, hop_readings, step).tolist()
+            growth = step_size * sum(delta)
+            bound += growth
+            limit = protocol._FINITE_BOUND
+            if bound < limit and growth < limit:
+                assert stack.all_finite()

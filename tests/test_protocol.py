@@ -396,6 +396,29 @@ def test_run_independent_of_block_size(monkeypatch, exclude_self):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("chains_per_block", [1, 3])
+def test_reused_window_buffers_leak_no_stale_rows(monkeypatch,
+                                                  chains_per_block):
+    # every window of every block gathers into a prefix of the same two
+    # buffers, which keep rows of earlier windows past it: here blocks of
+    # 1 chain, or of 3, 3 and 1, whose chains stop mid-window after 2 to
+    # 43 hops or run to the cap. One-round windows regather every round,
+    # so a run that read a stale row would differ from theirs
+    params = _params(num_participants=9, batch_size=7, max_subareas=3,
+                     window=12, max_iters=150, grad_tol=1.0,
+                     noise_sigma=0.01)
+    obs, _ = _make_obs(params, num_subareas=10)
+    monkeypatch.setattr(protocol, "_BLOCK_BYTES",
+                        max(1, (chains_per_block - 1) * 10 * params.window * 8
+                            + 1))
+    runs = []
+    for window_rounds in (protocol._WINDOW_ROUNDS, 1):
+        monkeypatch.setattr(protocol, "_WINDOW_ROUNDS", window_rounds)
+        runs.append(run_simulation(obs, params))
+    assert len(set(runs[0].per_chain_iters)) > 2
+    assert runs[0].to_json() == runs[1].to_json()
+
+
 def test_gather_table_built_once_per_run(monkeypatch):
     # one table serves every block of a run, however many blocks there are
     params = _params(num_participants=9, batch_size=7, max_iters=30)
