@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import LocalObservations
+from .model import LocalObservations, check_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,12 +41,17 @@ def tsvd_impute(aggregated: LocalObservations, k: int,
     Observed cells are always preserved exactly; missing cells of the
     result are clamped at 0 to match the non-negative field model.
     """
+    check_type("k", k, "int")
+    check_type("max_rounds", max_rounds, "int")
+    check_type("tol", tol, "float")
     values, mask = _observed(aggregated)
     rows, cols = values.shape
     if not 1 <= k <= min(rows, cols):
         raise ParameterError(f"k={k} must lie in 1..min({rows}, {cols})")
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be positive, got {max_rounds}")
+    if tol < 0:
+        raise ParameterError(f"tol must be non-negative, got {tol!r}")
 
     # initial fill: column observed means; all-missing columns fall back to
     # the global observed mean

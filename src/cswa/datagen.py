@@ -66,18 +66,6 @@ class CoverageSchedule:
     def num_participants(self) -> int:
         return len(self.cells)
 
-    @property
-    def covered(self) -> np.ndarray:
-        """``covered[j-1, a-1, t-1]`` is True when participant j covers
-        subarea a in cycle t: a dense (participants, subareas, cycles) mask,
-        built anew and read-only on each access."""
-        covered = np.zeros((self.num_participants,
-                            self.num_subareas * self.num_cycles), dtype=bool)
-        for row, cells in zip(covered, self.cells):
-            row[cells] = True
-        covered.setflags(write=False)
-        return covered.reshape(-1, self.num_subareas, self.num_cycles)
-
     def union_mask(self) -> np.ndarray:
         """0/1 matrix of cells covered by at least one participant."""
         union = np.zeros(self.num_subareas * self.num_cycles)
@@ -405,6 +393,8 @@ def load_field_csv(path, unit: str = "") -> Field:
         num_cycles = len(header) - 1
         rows = []
         for lineno, row in enumerate(reader, start=2):
+            if not row:
+                raise ParseError(f"{path}: row {lineno} is empty")
             if len(row) != num_cycles + 1:
                 raise ParseError(
                     f"{path}: row {lineno} has {len(row) - 1} value cells, "

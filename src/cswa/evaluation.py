@@ -149,12 +149,13 @@ def build_inputs(field: Field, params: Hyperparams,
 
 def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
               method: str) -> SweepRecord:
-    """One method on the (params, window, observations) of (value, seed).
+    """One method on the (params, window, observations, aggregated
+    observations) of (value, seed).
 
     Called once per record, with ``method`` the fifth positional argument:
     the benchmark's tracer (``bench/run.py``) names each cell's span by it.
     """
-    params, window, all_obs = inputs
+    params, window, all_obs, aggregated = inputs
     start = time.perf_counter()
     scalars = 0
     if method == "cswa":
@@ -163,17 +164,15 @@ def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
         iterations = sum(result.per_chain_iters)
         scalars = result.scalars_transferred()
     elif method == "centralized":
-        aggregated = aggregate_for_baseline(all_obs)
         factors, iterations = solve_centralized(
             aggregated, params, substream(seed, "centralized"))
         recovered = factors.product()
     elif method == "tsvd":
-        aggregated = aggregate_for_baseline(all_obs)
         impute = tsvd_impute(aggregated, k=params.latent)
         recovered = impute.completed
         iterations = impute.iterations
     elif method == "meanfill":
-        recovered = mean_fill(aggregate_for_baseline(all_obs))
+        recovered = mean_fill(aggregated)
         iterations = 0
     else:
         raise ParameterError(f"unknown method {method!r}")
@@ -191,9 +190,10 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
 
     Cell randomness derives only from the cell's composed parameters, so
     any worker count (or concurrent execution) returns identical records,
-    wall time aside. The observations of a (value, seed) pair are built
-    once and shared by all its methods, keeping comparisons paired; the
-    pairs are what run concurrently.
+    wall time aside. The observations of a (value, seed) pair, and their
+    aggregation for the baselines, are built once and shared by all its
+    methods, keeping comparisons paired; the pairs are what run
+    concurrently.
     """
     check_type("max_workers", max_workers, "int")
     if max_workers < 1:
@@ -209,7 +209,8 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
         except CswaError as err:
             raise ParameterError(
                 f"sweep cell {spec.axis}={value!r} seed={seed}: {err}") from err
-        return [_run_cell(spec, value, seed, (params, window, all_obs), method)
+        inputs = params, window, all_obs, aggregate_for_baseline(all_obs)
+        return [_run_cell(spec, value, seed, inputs, method)
                 for method in spec.methods]
 
     if max_workers > 1:

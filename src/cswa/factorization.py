@@ -24,10 +24,10 @@ The hop kernel, :meth:`_Stack.hop`, updates a stack of pairs in packed
 form: row i of ``x`` holds pair i's P (row-major) followed by its Q, so
 the regularizer, the update, the truncation and the convergence statistic
 are one numpy call each for the whole stack, and so is the finiteness
-test whenever every pair is finite. A stack makes its buffers and their
-views once and reuses them every hop, so a hop allocates nothing; a hop
-reads its pairs' cells and readings from :meth:`_Stack.gather`, one call
-of which can serve many hops, into buffers the caller may reuse.
+test. A stack makes its buffers and their views once and reuses them
+every hop, so a hop allocates nothing; a hop reads its pairs' cells and
+readings from :meth:`_Stack.gather`, one call of which can serve many
+hops, into buffers the caller may reuse.
 
 The residual F o (R - PQ) is evaluated at the covered cells only, through
 a :class:`GatherTable` of every participant's covered cells and readings,
@@ -224,12 +224,11 @@ class _Stack:
 
         Returns delta: ``delta[i]`` is pair i's max(|g_p|_inf, |g_q|_inf),
         in an array that the next hop overwrites. An update that overflows
-        is not reported here but by :meth:`all_finite` and :meth:`finite`,
-        so each caller that reports divergence silences numpy's overflow
-        and invalid-value warnings around its hops, once per loop rather
-        than once per hop. Each pair goes through the same float operations
-        in the same order as it would alone, so the stack size never
-        changes a result.
+        is not reported here but by :meth:`finite`, so each caller that
+        reports divergence silences numpy's overflow and invalid-value
+        warnings around its hops, once per loop rather than once per hop.
+        Each pair goes through the same float operations in the same order
+        as it would alone, so the stack size never changes a result.
         """
         g = self.gradients(cells, readings)
         x, new_x = self.x, self._rows[1][0]
@@ -241,15 +240,6 @@ class _Stack:
         self._rows.reverse()
         self._step = step
         return self._delta
-
-    def all_finite(self) -> bool:
-        """Whether every pair's factors and last update are finite, tested
-        block-wide (see :meth:`finite`). A hop leaves every entry
-        non-negative, inf or NaN, and ``max`` propagates NaN, so the
-        largest entry, or delta, is finite exactly when all are. Unlike a
-        sum, the test cannot overflow."""
-        return (math.isfinite(self.x.max())
-                and math.isfinite(self._step * self._delta.max()))
 
     def finite(self) -> np.ndarray:
         """Whether pair i's factors and last update are all finite, for
@@ -309,7 +299,7 @@ def sgd_step(obs: LocalObservations, factors: FactorPair, step_size: float,
     stack, hop_rows = _one_pair(obs, factors, reg_p, reg_q)
     with np.errstate(over="ignore", invalid="ignore"):   # reported here
         stack.hop(*hop_rows, sign * step_size)
-        if not stack.all_finite():
+        if not stack.finite().all():
             raise NumericError(_NON_FINITE)
     (p,), (q,) = _unpack(stack.x, obs.num_subareas, obs.window)
     (g_p,), (g_q,) = _unpack(stack.g, obs.num_subareas, obs.window)
@@ -364,7 +354,7 @@ def solve_centralized(aggregated: LocalObservations, params: Hyperparams,
     with np.errstate(over="ignore", invalid="ignore"):   # reported here
         for i in range(1, params.max_iters + 1):
             delta = stack.hop(*hop_rows, params.step_size)
-            if not stack.all_finite():
+            if not stack.finite().all():
                 raise NumericError(_NON_FINITE, iteration=i)
             iterations = i
             if delta[0] <= params.grad_tol:

@@ -11,22 +11,23 @@ Chains are logically parallel, and are simulated in blocks of consecutive
 chain ids: every live chain of a block takes its next hop in one stacked
 update, and a block runs to completion before the next one starts. The
 block holds as many chains as fit their (S, W) residuals in 512 KiB, at
-least one and at most N; a block's factors are one packed array, a row per
-chain. Every block reads one gather table of all participants' covered
-cells and readings, built once per run. A chain's route depends on its
-stream alone, so a block draws its chains' next hops a window of up to 64
-rounds ahead and gathers the window's table rows at once, into two buffers
-that the run allocates next to the table and every window reuses; only a
-round in which a chain stops steps through the chains one by one. A round
-tests its factors for overflow against a running bound on the block's
-largest entry, and makes the exact test only when the bound is too high
-to rule one out. Participants are
-stateless with respect to chains (factors live in the message,
-observations are read-only), each chain draws from its own stream derived
-from (seed, chain_id), and each chain's arithmetic is the same in any
-block, so any interleaving yields the identical result. A diverging run
-reports the lowest diverging chain id with that chain's own iteration,
-which is what running the chains one at a time in id order would report.
+least one and at most N. The run's factors are one packed array, a row per
+chain, which holds the chain's initial factors and receives its final ones
+when it stops. Every block reads one gather table of all participants'
+covered cells and readings, built once per run. A chain's route depends on
+its stream alone, so a block draws its chains' next hops a window of up to
+64 rounds ahead and gathers the window's table rows at once, into two
+buffers that the run allocates next to the table and every window reuses;
+only a round in which a chain stops steps through the chains one by one.
+A round tests its factors for overflow against a running bound on the
+block's largest entry, and makes the exact test only when the bound is
+too high to rule one out. Participants are stateless with respect to
+chains (factors live in the message, observations are read-only), each
+chain draws from its own stream derived from (seed, chain_id), and each
+chain's arithmetic is the same in any block, so any interleaving yields
+the identical result. A diverging run reports the lowest diverging chain
+id with that chain's own iteration, which is what running the chains one
+at a time in id order would report.
 
 A run records each chain's route and final factors. The transcript, the
 organizer-visible data flow, is derived from the routes, and
@@ -44,8 +45,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .factorization import (_NON_FINITE, GatherTable, _pack, _Stack,
-                            _unpack, gather_table, init_factors, sgd_step)
+from .factorization import (_NON_FINITE, _Stack, _unpack, gather_table,
+                            init_factors, sgd_step)
 from .model import FactorPair, Hyperparams, LocalObservations
 from .rng import substream
 
@@ -73,7 +74,7 @@ _BLOCK_BYTES = 512 * 1024
 _WINDOW_ROUNDS = 64
 
 # A round whose bound on the block's factor entries, and whose growth of
-# that bound, stay below this has no overflow to find (see _run_block).
+# that bound, stay below this has no overflow to find (see run_simulation).
 _FINITE_BOUND = 1e300
 
 
@@ -312,112 +313,6 @@ def recover(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, FactorPair]:
     return averaged.product(), averaged
 
 
-def _run_block(all_obs: list[LocalObservations], params: Hyperparams,
-               table: GatherTable, buffers: tuple[np.ndarray, np.ndarray],
-               first_id: int, starts: list[int]
-               ) -> tuple[np.ndarray, np.ndarray, list[bool], list[list[int]]]:
-    """Run chains ``first_id, first_id + 1, ...`` from participants
-    ``starts`` to completion, stepping every live chain of the block in one
-    hop of a :class:`~cswa.factorization._Stack` per round (all live chains
-    share the round's iteration) on ``table``, the gather table of
-    ``all_obs``. Returns, in chain order, the final ``p`` and ``q`` stacks,
-    whether each chain converged (rather than spending its budget), and
-    each chain's route (the participants it updated at, in order).
-
-    A chain's hops depend only on its own stream, never on its factors, so
-    the block walks its live chains' routes up to a window of rounds ahead,
-    each with one draw of the hops it lacks, and gathers the window's cells
-    and readings at once into a prefix of ``buffers`` (see
-    :meth:`~cswa.factorization._Stack.gather`); a round then reads its row
-    of the window. Rows that an earlier window or block left past the
-    prefix are never read. A round in which every live chain is finite and
-    above ``grad_tol`` makes no per-chain Python call and no reduction
-    beyond the hop's deltas. Its finiteness test is a running upper bound
-    on the block's largest factor entry: ``x.max()`` at the window's start,
-    plus ``step_size * sum(delta)`` per round, since a hop moves pair i's
-    entries by at most ``step_size * delta[i]``. While the bound and the
-    round's growth of it stay below ``_FINITE_BOUND``, every factor and
-    update is finite; otherwise the round makes the exact block-wide test,
-    and a false alarm costs only that test. Only a round in which a chain
-    stops goes chain by chain; it truncates the stopped chains' routes to
-    the hops they made, drops them from the stack and ends the window. The
-    next window starts at the following round and holds no state but the
-    survivors' routes, which are already walked through the old window.
-
-    A chain whose update is not finite retires; once the block is done, the
-    lowest diverged chain id is reported with its own iteration, which is
-    what running the chains one at a time in id order reports.
-    """
-    num_subareas, window = table.num_subareas, table.window
-    rngs, ps, qs, routes = [], [], [], []
-    for chain_id, start in enumerate(starts, start=first_id):
-        chain_rng = substream(params.seed, "chain", chain_id)
-        local_mean = all_obs[start - 1].observed_mean()
-        scale = local_mean if local_mean > 0 else 1.0
-        factors = init_factors(num_subareas, window, params.latent, scale,
-                               chain_rng)
-        rngs.append(chain_rng)
-        ps.append(factors.p)
-        qs.append(factors.q)
-        # the first hop's draw: nothing reads the stream before it is due
-        routes.append([start])
-        _walk(routes[-1], 1, chain_rng, params)
-    stack = _Stack(_pack(np.stack(ps), np.stack(qs)), table, params.reg_p,
-                   params.reg_q)
-    final_x = np.empty_like(stack.x)
-    step_size, grad_tol, max_iters = (params.step_size, params.grad_tol,
-                                      params.max_iters)
-    step = (-1.0 if params.literal_update else 1.0) * step_size
-    converged = [False] * len(starts)
-    diverged: list[tuple[int, int]] = []
-    live = list(range(len(starts)))   # block positions of the live chains
-    iteration = 0
-    with np.errstate(over="ignore", invalid="ignore"):   # reported as divergence
-        while live:
-            # a window: every live route walked to its end (with a budget
-            # of one hop, the first hop already runs past it), then each
-            # round's table rows for the live chains in block order
-            end = min(max_iters, iteration + _WINDOW_ROUNDS)
-            for c in live:
-                if len(routes[c]) < end:
-                    _walk(routes[c], end - len(routes[c]), rngs[c], params)
-            rows = np.array([routes[c][iteration:end] for c in live],
-                            dtype=np.intp).T - 1
-            bound = float(stack.x.max())
-            for hop_cells, hop_readings in zip(*stack.gather(rows, buffers)):
-                iteration += 1
-                delta = stack.hop(hop_cells, hop_readings, step).tolist()
-                growth = step_size * sum(delta)
-                bound += growth
-                if (iteration < max_iters and min(delta) > grad_tol
-                        and ((bound < _FINITE_BOUND and growth < _FINITE_BOUND)
-                             or stack.all_finite())):
-                    continue
-                keep, done = [], []
-                for i, (c, ok, d) in enumerate(zip(
-                        live, stack.finite().tolist(), delta)):
-                    if ok and iteration < max_iters and d > grad_tol:
-                        keep.append(i)
-                        continue
-                    if not ok:
-                        diverged.append((first_id + c, iteration))
-                    else:
-                        done.append(i)
-                        converged[c] = d <= grad_tol
-                    del routes[c][iteration:]
-                if done:
-                    final_x[[live[i] for i in done]] = stack.x[done]
-                live = [live[i] for i in keep]
-                if live:
-                    stack = _Stack(stack.x[keep], table, params.reg_p,
-                                   params.reg_q)
-                break   # the survivors' next window starts at this round
-    if diverged:
-        chain_id, at = min(diverged)
-        raise NumericError(_NON_FINITE, iteration=at, chain_id=chain_id)
-    return (*_unpack(final_x, num_subareas, window), converged, routes)
-
-
 def _window_shape(all_obs: list[LocalObservations]) -> tuple[int, int]:
     """The (subareas, window) shape that every observation set shares."""
     shapes = {(obs.num_subareas, obs.window) for obs in all_obs}
@@ -440,6 +335,26 @@ def run_simulation(all_obs: list[LocalObservations],
     ``params.require_convergence`` drops chains that hit the iteration
     budget from the recovery average (they still appear in
     routes/iterations/transcript).
+
+    Each block steps its live chains in one hop of a
+    :class:`~cswa.factorization._Stack` per round. A window walks every live
+    route to its end, with one draw of the hops it lacks, and gathers the
+    window's cells and readings into a prefix of the run's two buffers (see
+    :meth:`~cswa.factorization._Stack.gather`); rows that an earlier window
+    left past the prefix are never read. A round in which every live chain
+    is finite and above ``grad_tol`` makes no per-chain Python call and no
+    reduction beyond the hop's deltas. Its overflow test is a running upper
+    bound on the block's largest factor entry: ``x.max()`` at the window's
+    start, plus ``step_size * sum(delta)`` per round, since a hop moves pair
+    i's entries by at most ``step_size * delta[i]``. While the bound and the
+    round's growth of it stay below ``_FINITE_BOUND``, every factor and
+    update is finite; otherwise the round makes the exact test, and a false
+    alarm costs only that test. Only a round in which a chain stops goes
+    chain by chain: it truncates the stopped chains' routes to the hops
+    they made, writes their final rows, drops them from the stack and ends
+    the window; the survivors' next window starts at the following round. A
+    chain whose update is not finite retires, and once its block is done
+    the lowest diverged chain id is reported with its own iteration.
     """
     if len(all_obs) != params.num_participants:
         raise ParameterError(
@@ -460,32 +375,96 @@ def run_simulation(all_obs: list[LocalObservations],
     starters = [int(j) + 1 for j in
                 organizer_rng.choice(params.num_participants,
                                      size=params.batch_size, replace=False)]
+    chains = len(starters)
 
-    size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8),
-                      len(starters)))
+    size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8), chains))
     table = gather_table(all_obs)
     # a window's gathered cells and readings, at most a window's rounds of
     # a block's rows, for every window of every block to reuse
     rounds = min(params.max_iters, _WINDOW_ROUNDS)
     length = rounds * size * table.cells.shape[1]
     buffers = np.empty(length, dtype=np.intp), np.empty(length)
-    ps, qs, converged, routes = zip(*(
-        _run_block(all_obs, params, table, buffers, first + 1,
-                   starters[first:first + size])
-        for first in range(0, len(starters), size)))
-    converged = np.concatenate(converged)
+    # row c - 1 is chain c's packed factors: its initial ones, until its
+    # block's stack takes the rows over as a buffer, and its final ones
+    # from its stop on
+    x = np.empty((chains, (num_subareas + window) * params.latent))
+    init_p, init_q = _unpack(x, num_subareas, window)
+    rngs, routes = [], []
+    for c, start in enumerate(starters):
+        rngs.append(substream(params.seed, "chain", c + 1))
+        local_mean = all_obs[start - 1].observed_mean()
+        factors = init_factors(num_subareas, window, params.latent,
+                               local_mean if local_mean > 0 else 1.0, rngs[c])
+        init_p[c], init_q[c] = factors.p, factors.q
+        # the first hop's draw: nothing reads the stream before it is due
+        routes.append([start])
+        _walk(routes[c], 1, rngs[c], params)
+    step_size, grad_tol, max_iters = (params.step_size, params.grad_tol,
+                                      params.max_iters)
+    step = (-1.0 if params.literal_update else 1.0) * step_size
+    converged = np.zeros(chains, dtype=bool)
+    diverged: list[tuple[int, int]] = []   # (chain id, its iteration)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported as divergence
+        for first in range(0, chains, size):
+            live = list(range(first, min(first + size, chains)))
+            stack = _Stack(x[first:first + size], table, params.reg_p,
+                           params.reg_q)
+            iteration = 0
+            while live:
+                # a window: every live route walked to its end (with a
+                # budget of one hop, the first hop already runs past it),
+                # then each round's table rows for the live chains in order
+                end = min(max_iters, iteration + _WINDOW_ROUNDS)
+                for c in live:
+                    if len(routes[c]) < end:
+                        _walk(routes[c], end - len(routes[c]), rngs[c], params)
+                rows = np.array([routes[c][iteration:end] for c in live],
+                                dtype=np.intp).T - 1
+                bound = float(stack.x.max())
+                for hop_cells, hop_readings in zip(*stack.gather(rows,
+                                                                 buffers)):
+                    iteration += 1
+                    delta = stack.hop(hop_cells, hop_readings, step).tolist()
+                    growth = step_size * sum(delta)
+                    bound += growth
+                    if (iteration < max_iters and min(delta) > grad_tol
+                            and ((bound < _FINITE_BOUND
+                                  and growth < _FINITE_BOUND)
+                                 or stack.finite().all())):
+                        continue
+                    keep, done = [], []
+                    for i, (c, ok, d) in enumerate(zip(
+                            live, stack.finite().tolist(), delta)):
+                        if ok and iteration < max_iters and d > grad_tol:
+                            keep.append(i)
+                            continue
+                        if not ok:
+                            diverged.append((c + 1, iteration))
+                        else:
+                            done.append(i)
+                            converged[c] = d <= grad_tol
+                        del routes[c][iteration:]
+                    x[[live[i] for i in done]] = stack.x[done]
+                    live = [live[i] for i in keep]
+                    if live:
+                        stack = _Stack(stack.x[keep], table, params.reg_p,
+                                       params.reg_q)
+                    break   # the survivors' next window starts at this round
+            if diverged:
+                chain_id, at = min(diverged)
+                raise NumericError(_NON_FINITE, iteration=at,
+                                   chain_id=chain_id)
     kept = converged | (not params.require_convergence)
     if not kept.any():
         raise ParameterError(
             "require_convergence dropped every chain; raise max_iters or "
             "grad_tol")
-    recovered, averaged = recover(np.concatenate(ps)[kept],
-                                  np.concatenate(qs)[kept])
+    recovered, averaged = recover(*_unpack(x[kept], num_subareas, window))
     return RunResult(
         recovered=recovered,
         p_bar=averaged.p,
         q_bar=averaged.q,
-        routes=tuple(tuple(route) for block in routes for route in block),
+        routes=tuple(map(tuple, routes)),
         converged_chains=int(converged.sum()),
         config=params.to_dict(),
     )

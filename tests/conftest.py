@@ -40,6 +40,17 @@ def dense_schedule(covered) -> CoverageSchedule:
                             [np.flatnonzero(mask) for mask in covered])
 
 
+def dense_coverage(schedule: CoverageSchedule) -> np.ndarray:
+    """``schedule`` as a dense (participants, subareas, cycles) boolean
+    mask: ``[j-1, a-1, t-1]`` is True when participant j covers subarea a
+    in cycle t."""
+    covered = np.zeros((schedule.num_participants,
+                        schedule.num_subareas * schedule.num_cycles), dtype=bool)
+    for row, cells in zip(covered, schedule.cells):
+        row[cells] = True
+    return covered.reshape(-1, schedule.num_subareas, schedule.num_cycles)
+
+
 def random_observations(seed: int, num_subareas: int = 6, window: int = 4,
                         fill: float = 0.5, participant_id: int = 1,
                         scale: float = 2.0) -> LocalObservations:

@@ -88,6 +88,18 @@ def test_tsvd_parameter_validation():
         tsvd_impute(empty, k=1)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("k", True), ("k", 1.5), ("k", "2"), ("max_rounds", 2.5),
+    ("max_rounds", 0), ("tol", float("nan")), ("tol", float("inf")),
+    ("tol", -1.0), ("tol", None)])
+def test_tsvd_rejects_bad_argument_naming_it(name, bad):
+    # a bool is no rank, a fraction no count, and a NaN or negative
+    # tolerance would never stop the loop before its round cap
+    obs = _masked_obs(np.ones((4, 3)), np.ones((4, 3)))
+    with pytest.raises(ParameterError, match=rf"^{name} must"):
+        tsvd_impute(obs, **dict({"k": 1}, **{name: bad}))
+
+
 # --- mean_fill ---
 
 def test_mean_fill_identity_on_full_observation():

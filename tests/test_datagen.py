@@ -15,7 +15,7 @@ from cswa import (CoverageSchedule, Field, Hyperparams, LocalObservations,
                   substream, write_field_csv)
 from cswa.datagen import _WORDS_PER_RAW, _lemire, _Words
 
-from conftest import dense_schedule
+from conftest import dense_coverage, dense_schedule
 
 
 def _params(**overrides):
@@ -80,7 +80,7 @@ def test_field_accepts_numpy_integers():
 def test_coverage_degenerate_single_subarea():
     params = _params(max_subareas=1)
     schedule = assign_coverage(params, 20, substream(0, "coverage"))
-    assert (schedule.covered.sum(axis=1) == 1).all()
+    assert (dense_coverage(schedule).sum(axis=1) == 1).all()
 
 
 def test_coverage_count_distribution_uniform():
@@ -88,7 +88,7 @@ def test_coverage_count_distribution_uniform():
     params = _params(num_participants=100, batch_size=50, window=100,
                      max_subareas=3)
     schedule = assign_coverage(params, 20, substream(42, "coverage"))
-    counts = np.bincount(schedule.covered.sum(axis=1).ravel(), minlength=4)[1:]
+    counts = np.bincount(dense_coverage(schedule).sum(axis=1).ravel(), minlength=4)[1:]
     n = counts.sum()
     assert n == 100 * 100
     sigma = np.sqrt((1 / 3) * (2 / 3) / n)
@@ -100,14 +100,14 @@ def test_coverage_union_bounded_by_participants():
     # 10 singleton coverers bound each cycle's union at 10 subareas
     params = _params(num_participants=10, max_subareas=1)
     schedule = assign_coverage(params, 57, substream(5, "coverage"))
-    assert (schedule.covered.any(axis=0).sum(axis=0) <= 10).all()
+    assert (dense_coverage(schedule).any(axis=0).sum(axis=0) <= 10).all()
 
 
 def test_coverage_sets_within_cap_and_distinct():
     params = _params(max_subareas=3)
     schedule = assign_coverage(params, 12, substream(9, "coverage"))
-    assert schedule.covered.shape == (10, 12, 8)
-    counts = schedule.covered.sum(axis=1)
+    assert dense_coverage(schedule).shape == (10, 12, 8)
+    counts = dense_coverage(schedule).sum(axis=1)
     assert ((1 <= counts) & (counts <= 3)).all()
     # a set per cycle, distinct and within 1..12, as JSON lists too
     for rows in schedule.to_jsonable()["covered"]:
@@ -125,7 +125,7 @@ def test_coverage_deterministic_for_stream():
     params = _params()
     a = assign_coverage(params, 20, substream(3, "coverage"))
     b = assign_coverage(params, 20, substream(3, "coverage"))
-    assert np.array_equal(a.covered, b.covered)
+    assert np.array_equal(dense_coverage(a), dense_coverage(b))
 
 
 def _scalar_coverage(params, num_subareas, rng):
@@ -163,7 +163,7 @@ def test_coverage_equals_scalar_draws(m, subareas, window, s):
                      window=window, latent=1)
     for seed in (0, 1):
         schedule = assign_coverage(params, subareas, substream(seed, "coverage"))
-        assert np.array_equal(schedule.covered, _scalar_coverage(
+        assert np.array_equal(dense_coverage(schedule), _scalar_coverage(
             params, subareas, substream(seed, "coverage")))
 
 
@@ -192,9 +192,9 @@ def test_coverage_equals_scalar_draws_at_the_tail_shuffle_bounds(subareas, s, se
     params = _params(num_participants=3, batch_size=1, max_subareas=s,
                      window=8, latent=1)
     schedule = assign_coverage(params, subareas, substream(seed, "coverage"))
-    assert np.array_equal(schedule.covered, _scalar_coverage(
+    assert np.array_equal(dense_coverage(schedule), _scalar_coverage(
         params, subareas, substream(seed, "coverage")))
-    counts = schedule.covered.sum(axis=1)
+    counts = dense_coverage(schedule).sum(axis=1)
     assert (counts == 200).any() if subareas == 10001 else (counts > 200).any()
 
 
@@ -206,7 +206,7 @@ def test_coverage_equals_scalar_draws_for_every_bit_generator(kind, m, subareas,
     params = _params(num_participants=m, batch_size=1, max_subareas=s,
                      window=window, latent=1)
     schedule = assign_coverage(params, subareas, np.random.Generator(kind(11)))
-    assert np.array_equal(schedule.covered, _scalar_coverage(
+    assert np.array_equal(dense_coverage(schedule), _scalar_coverage(
         params, subareas, np.random.Generator(kind(11))))
 
 
@@ -265,7 +265,7 @@ def test_coverage_rejects_bad_num_subareas(bad):
 def test_coverage_accepts_numpy_integer_subareas():
     a = assign_coverage(_params(), np.int64(20), substream(4, "coverage"))
     b = assign_coverage(_params(), 20, substream(4, "coverage"))
-    assert np.array_equal(a.covered, b.covered)
+    assert np.array_equal(dense_coverage(a), dense_coverage(b))
 
 
 def test_coverage_rejects_unknown_bit_generator():
@@ -280,11 +280,11 @@ def test_schedule_json_round_trip():
     schedule = assign_coverage(_params(), 20, substream(1, "coverage"))
     doc = json.loads(json.dumps(schedule.to_jsonable()))
     assert doc["num_subareas"] == 20
-    rebuilt = np.zeros_like(schedule.covered)
+    rebuilt = np.zeros_like(dense_coverage(schedule))
     for j, rows in enumerate(doc["covered"]):
         for t, cells in enumerate(rows):
             rebuilt[j, np.array(cells) - 1, t] = True
-    assert np.array_equal(rebuilt, schedule.covered)
+    assert np.array_equal(rebuilt, dense_coverage(schedule))
 
 
 def test_schedule_rejects_empty_cycle():
@@ -337,16 +337,6 @@ def test_schedule_is_read_only_copy():
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
             stored[0] = 6
-    covered = schedule.covered
-    assert covered.shape == (2, 4, 3) and covered.dtype == bool
-    assert not covered.flags.writeable
-    with pytest.raises(ValueError):
-        covered[0, 0, 0] = False
-    # the mask is built on each access and matches the cells
-    assert covered is not schedule.covered
-    assert np.flatnonzero(covered[0]).tolist() == [0, 1, 2, 9]
-    with pytest.raises(AttributeError):
-        schedule.covered = covered
 
 
 @pytest.mark.parametrize("subareas", [200, 2000])
@@ -420,7 +410,7 @@ def test_observe_union_of_masks_matches_schedule():
     for o in obs:
         union = np.maximum(union, o.f_mask)
     assert np.array_equal(union, schedule.union_mask())
-    assert np.array_equal(union == 1.0, schedule.covered.any(axis=0))
+    assert np.array_equal(union == 1.0, dense_coverage(schedule).any(axis=0))
 
 
 def test_observe_emits_non_negative_readings():
@@ -449,7 +439,7 @@ def test_observe_readings_bitwise_match_dense_formula(sigma):
     schedule = assign_coverage(_params(), 20, substream(5, "coverage"))
     obs = observe(field, schedule, sigma, substream(5, "observe"))
     streams = substream(5, "observe").spawn(schedule.num_participants)
-    for o, stream, covered in zip(obs, streams, schedule.covered):
+    for o, stream, covered in zip(obs, streams, dense_coverage(schedule)):
         mask = covered.astype(np.float64)
         noise = stream.normal(0.0, sigma, size=field.shape)
         dense = mask * np.maximum(0.0, field + noise)
@@ -632,6 +622,17 @@ def test_load_field_csv_malformed(tmp_path):
     non_numeric.write_text("subarea,1\nA,oops\n")
     with pytest.raises(ParseError, match="non-numeric"):
         load_field_csv(non_numeric)
+
+
+@pytest.mark.parametrize("text, row", [
+    ("subarea,1,2\nA,1,2\n\nB,3,4\n", 3),   # a blank row between two
+    ("subarea,1,2\nA,1,2\n\n", 3),           # a trailing blank line
+    ("subarea,1,2\n\n", 2)], ids=["between-rows", "trailing", "first-row"])
+def test_load_field_csv_names_an_empty_row(tmp_path, text, row):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=rf"row {row} is empty"):
+        load_field_csv(path)
 
 
 # finite, non-negative cells, with zero, subnormals and values near 1e300

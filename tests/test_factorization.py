@@ -22,7 +22,6 @@ def hop_each(p, q, observations, reg_p, reg_q, step):
     with np.errstate(over="ignore", invalid="ignore"):
         delta = stack.hop(*stack.gather(np.arange(len(p))), step)
         finite = stack.finite()
-        assert stack.all_finite() == finite.all()
     return (*_unpack(stack.x, s, w), *_unpack(stack.g, s, w), finite, delta)
 
 
@@ -308,16 +307,16 @@ def test_hop_reads_padded_table_rows(ids, order):
 
 def test_finite_tests_agree_on_entries_whose_sum_overflows():
     # every entry is finite but their sum is not: no pair may be reported
-    # diverged; an inf or a NaN in one pair marks that pair alone
+    # diverged; an inf or a NaN in one pair marks that pair alone, so the
+    # block-wide test, finite().all(), fails
     table = gather_table([dense_observations(1, np.zeros((2, 2)),
                                              np.zeros((2, 2)))])
     stack = _Stack(np.full((3, 8), 1e308), table, 0.0, 0.0)   # 3 pairs, l=2
     with np.errstate(over="ignore"):
         assert not np.isfinite(stack.x.sum())
-    assert stack.all_finite() and stack.finite().tolist() == [True] * 3
+    assert stack.finite().tolist() == [True] * 3
     for bad in (np.inf, np.nan):
         stack.x[1, 4] = bad
-        assert not stack.all_finite()
         assert stack.finite().tolist() == [True, False, True]
 
 

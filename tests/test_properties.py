@@ -18,7 +18,7 @@ from cswa import Hyperparams, audit_transcript, factorization, \
 from cswa.evaluation import build_inputs
 from cswa.factorization import GatherTable
 
-from conftest import reference_json
+from conftest import dense_coverage, reference_json
 
 
 @st.composite
@@ -70,20 +70,23 @@ def test_run_invariants(hop_log, config):
     field, params = config
     hop_log.clear()
     _, schedule, observations = build_inputs(field, params)
-    per_cycle = schedule.covered.sum(axis=1)
+    per_cycle = dense_coverage(schedule).sum(axis=1)
     assert ((1 <= per_cycle) & (per_cycle <= params.max_subareas)).all()
 
-    run_block, blocks = protocol._run_block, []
+    # require_convergence is off, so recover averages every chain's final
+    # factors
+    recover, returned = protocol.recover, []
 
-    def recording_run_block(*args):
-        blocks.append(run_block(*args))
-        return blocks[-1]
+    def recording_recover(p, q):
+        returned.append((p, q))
+        return recover(p, q)
 
-    with mock.patch.object(protocol, "_run_block", recording_run_block):
+    with mock.patch.object(protocol, "recover", recording_recover):
         result = run_simulation(observations, params)
-    for final_p, final_q, _, _ in blocks:
-        for factor in (final_p, final_q):
-            assert np.isfinite(factor).all() and (factor >= 0).all()
+    [(final_p, final_q)] = returned
+    assert len(final_p) == len(final_q) == params.batch_size
+    for factor in (final_p, final_q):
+        assert np.isfinite(factor).all() and (factor >= 0).all()
     assert audit_transcript(result.transcript).passed
     payload = params.latent * (field.num_subareas + params.window)
     hops = sum(result.per_chain_iters)
@@ -117,7 +120,7 @@ _MAGNITUDES = st.one_of(st.floats(0, 10), st.floats(1e99, 1e101),
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_fast_path_bound_implies_all_finite(data):
-    # _run_block skips the exact finiteness test of a round while its bound
+    # run_simulation skips a round's exact finiteness test while its bound
     # on the block's largest factor entry (x.max() at the window's start,
     # plus step_size * sum(delta) per round) and the round's growth of it
     # stay below _FINITE_BOUND; whenever they do, the exact test must pass.
@@ -149,4 +152,4 @@ def test_fast_path_bound_implies_all_finite(data):
             bound += growth
             limit = protocol._FINITE_BOUND
             if bound < limit and growth < limit:
-                assert stack.all_finite()
+                assert stack.finite().all()

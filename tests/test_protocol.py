@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -694,3 +695,20 @@ def test_aggregate_disjoint_union():
     assert agg.r_local[0, 1] == 2.0 and agg.r_local[1, 0] == 3.0
     assert agg.f_mask[1, 1] == 0.0
 
+
+
+# --- README ---
+
+def test_readme_library_quickstart_runs(capsys):
+    # the README's "Library quickstart" block, run as written: a 2000-update
+    # run near the README's quoted 0.068 error that passes its audit, and a
+    # centralized solve on the aggregated observations
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    error, passed = capsys.readouterr().out.split()
+    assert float(error) < 0.1 and passed == "True"
+    factors, iters = namespace["factors"], namespace["iters"]
+    assert 1 <= iters <= 2000 and np.isfinite(factors.product()).all()
