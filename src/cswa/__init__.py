@@ -7,7 +7,7 @@ leaves a participant's device, only low-rank factor matrices travel.
 Centralized baselines and an experiment sweep harness are included.
 """
 
-from .baselines import ImputeResult, mean_fill, tsvd_impute
+from .baselines import ImputeResult, mean_fill, tsvd_impute, tsvd_impute_all
 from .datagen import (CoverageSchedule, assign_coverage,
                       generate_lowrank_field, load_field_csv, observe,
                       write_field_csv)
@@ -41,5 +41,5 @@ __all__ = [
     "gradients", "init_factors", "load_field_csv",
     "masked_loss", "mean_fill", "median_errors", "observe", "participant_step", "records_to_csv", "recover", "run_simulation",
     "run_sweep", "sgd_step", "solve_centralized", "substream",
-    "tsvd_impute", "write_field_csv",
+    "tsvd_impute", "tsvd_impute_all", "write_field_csv",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .model import LocalObservations, check_type
 
 
@@ -32,6 +32,17 @@ def _observed(aggregated: LocalObservations) -> tuple[np.ndarray, np.ndarray]:
     return aggregated.r_local, aggregated.f_mask == 1.0
 
 
+def _initial_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Observed cells as observed, missing cells at their column's observed
+    mean; all-missing columns fall back to the global observed mean."""
+    global_mean = values[mask].mean()
+    col_counts = mask.sum(axis=0)
+    col_sums = (values * mask).sum(axis=0)
+    col_means = np.where(col_counts > 0,
+                         col_sums / np.maximum(col_counts, 1), global_mean)
+    return np.where(mask, values, col_means[np.newaxis, :])
+
+
 def tsvd_impute(aggregated: LocalObservations, k: int,
                 max_rounds: int = 200, tol: float = 1e-6) -> ImputeResult:
     """Iterative hard-impute with a rank-k SVD: keep only the k largest
@@ -41,11 +52,32 @@ def tsvd_impute(aggregated: LocalObservations, k: int,
     Observed cells are always preserved exactly; missing cells of the
     result are clamped at 0 to match the non-negative field model.
     """
+    return tsvd_impute_all([aggregated], k, max_rounds, tol)[0]
+
+
+def tsvd_impute_all(aggregated, k: int, max_rounds: int = 200,
+                    tol: float = 1e-6) -> list[ImputeResult]:
+    """``tsvd_impute`` of every window in the sequence ``aggregated``, in
+    lockstep: each round is one stacked SVD, rank-k product and stop test
+    over the windows still running, and a window leaves the stack in the
+    round it stops. The windows must share one shape.
+
+    Each window's result is bit for bit what ``tsvd_impute`` returns for it
+    alone: the stacked calls run the same LAPACK and BLAS routine on each
+    window, and every other step is element-wise or a per-window maximum.
+    """
     check_type("k", k, "int")
     check_type("max_rounds", max_rounds, "int")
     check_type("tol", tol, "float")
-    values, mask = _observed(aggregated)
-    rows, cols = values.shape
+    if not isinstance(aggregated, (list, tuple)) or not aggregated:
+        raise ParameterError("aggregated must be a non-empty sequence of "
+                             f"observations, got {aggregated!r}")
+    observed = [_observed(obs) for obs in aggregated]
+    rows, cols = observed[0][0].shape
+    for values, _ in observed:
+        if values.shape != (rows, cols):
+            raise ShapeError(f"windows of shapes {(rows, cols)} and "
+                             f"{values.shape} cannot be imputed together")
     if not 1 <= k <= min(rows, cols):
         raise ParameterError(f"k={k} must lie in 1..min({rows}, {cols})")
     if max_rounds < 1:
@@ -53,26 +85,31 @@ def tsvd_impute(aggregated: LocalObservations, k: int,
     if tol < 0:
         raise ParameterError(f"tol must be non-negative, got {tol!r}")
 
-    # initial fill: column observed means; all-missing columns fall back to
-    # the global observed mean
-    global_mean = values[mask].mean()
-    col_counts = mask.sum(axis=0)
-    col_sums = (values * mask).sum(axis=0)
-    col_means = np.where(col_counts > 0,
-                         col_sums / np.maximum(col_counts, 1), global_mean)
-    filled = np.where(mask, values, col_means[np.newaxis, :])
-
+    values = np.stack([v for v, _ in observed])
+    mask = np.stack([m for _, m in observed])
+    filled = np.stack([_initial_fill(v, m) for v, m in observed])
     missing = ~mask
-    any_missing = missing.any()
+    running = np.arange(len(observed))
+    results: list[ImputeResult | None] = [None] * len(observed)
     for rounds in range(1, max_rounds + 1):
         u, s, vt = np.linalg.svd(filled, full_matrices=False)
-        low_rank = (u[:, :k] * s[:k]) @ vt[:k]
-        delta = float(np.abs(low_rank - filled)[missing].max()) if any_missing else 0.0
+        low_rank = (u[..., :k] * s[:, np.newaxis, :k]) @ vt[:, :k]
+        # each window's largest change over its missing cells (0 if none)
+        delta = np.where(missing, np.abs(low_rank - filled), 0.0).max(axis=(1, 2))
         filled = np.where(mask, values, low_rank)
-        if delta <= tol:
+        stop = (delta <= tol) | (rounds == max_rounds)
+        if not stop.any():
+            continue
+        completed = np.where(mask[stop], values[stop],
+                             np.maximum(filled[stop], 0.0))
+        for index, window in zip(running[stop].tolist(), completed):
+            results[index] = ImputeResult(window, rounds)
+        keep = ~stop
+        if not keep.any():
             break
-    completed = np.where(mask, values, np.maximum(filled, 0.0))
-    return ImputeResult(completed, rounds)
+        running, values, mask, missing, filled = (
+            running[keep], values[keep], mask[keep], missing[keep], filled[keep])
+    return results
 
 
 def mean_fill(aggregated: LocalObservations) -> np.ndarray:

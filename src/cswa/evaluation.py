@@ -3,8 +3,11 @@
 A sweep varies one of the four performance factors (participants m,
 coverage cap s, window w, latent size l) over a list of values, running
 the chosen methods for each (value, seed) pair on coverage and observations
-generated once for that pair. Pairs are independent and may run
-concurrently; records come back in a deterministic order.
+generated once for that pair. Every pair's inputs are built first. The
+tsvd baseline then runs as one lockstep task per group of pairs that share
+a window shape and latent size, and the other methods as one task per
+pair; the tasks are independent and may run concurrently, and records come
+back in a deterministic order.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from statistics import median
 
 import numpy as np
 
-from .baselines import mean_fill, tsvd_impute
+# tsvd_impute is no longer called here; the benchmark's tracer
+# (bench/run.py) still wraps it by this module's name
+from .baselines import mean_fill, tsvd_impute, tsvd_impute_all  # noqa: F401
 from .datagen import assign_coverage, observe
 from .errors import CswaError, ParameterError, ShapeError
 from .factorization import solve_centralized
@@ -149,11 +155,13 @@ def build_inputs(field: Field, params: Hyperparams,
 
 def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
               method: str) -> SweepRecord:
-    """One method on the (params, window, observations, aggregated
-    observations) of (value, seed).
+    """One method other than tsvd on the (params, window, observations,
+    aggregated observations) of (value, seed).
 
-    Called once per record, with ``method`` the fifth positional argument:
-    the benchmark's tracer (``bench/run.py``) names each cell's span by it.
+    Called once per non-tsvd record, with ``method`` the fifth positional
+    argument: the benchmark's tracer (``bench/run.py``) names each cell's
+    span by it. tsvd records do not pass through here; ``run_sweep``
+    imputes them a group of pairs at a time.
     """
     params, window, all_obs, aggregated = inputs
     start = time.perf_counter()
@@ -167,10 +175,6 @@ def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
         factors, iterations = solve_centralized(
             aggregated, params, substream(seed, "centralized"))
         recovered = factors.product()
-    elif method == "tsvd":
-        impute = tsvd_impute(aggregated, k=params.latent)
-        recovered = impute.completed
-        iterations = impute.iterations
     elif method == "meanfill":
         recovered = mean_fill(aggregated)
         iterations = 0
@@ -183,42 +187,81 @@ def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
                        scalars, wall_ms)
 
 
+def _impute_group(spec: SweepSpec, group: list, latent: int) -> list[SweepRecord]:
+    """The tsvd records of a group of (value, seed, inputs) pairs whose
+    windows share one shape and whose latent size is ``latent``, imputed in
+    lockstep. Each record's ``wall_ms`` is the group's time divided by its
+    size."""
+    start = time.perf_counter()
+    results = tsvd_impute_all([inputs[3] for _, _, inputs in group], k=latent)
+    wall_ms = (time.perf_counter() - start) * 1e3 / len(group)
+    return [SweepRecord(spec.axis, value, "tsvd", seed,
+                        absolute_error(result.completed, inputs[1]),
+                        result.iterations, 0, wall_ms)
+            for (value, seed, inputs), result in zip(group, results)]
+
+
 def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
               max_workers: int = 1) -> list[SweepRecord]:
     """Run every (axis value x seed x method) cell and return records in
     deterministic (value, seed, method) order.
 
-    Cell randomness derives only from the cell's composed parameters, so
-    any worker count (or concurrent execution) returns identical records,
-    wall time aside. The observations of a (value, seed) pair, and their
-    aggregation for the baselines, are built once and shared by all its
-    methods, keeping comparisons paired; the pairs are what run
-    concurrently.
+    Every (value, seed) pair's observations, and their aggregation for the
+    baselines, are built first, once, and shared by all its methods,
+    keeping comparisons paired. Then one task per group of pairs with the
+    same window shape and latent size runs tsvd on the group's windows in
+    lockstep (``tsvd_impute_all``), and one task per pair runs its other
+    methods. The group tasks come first: on a pool their stacked LAPACK
+    calls, which release the GIL, overlap the pair tasks' Python. A tsvd
+    record's ``wall_ms`` is its group's time divided by the group's size.
+
+    Cell randomness derives only from the cell's composed parameters, and
+    each window's imputation is bit for bit what it is alone, so any
+    worker count returns identical records, wall time aside.
     """
     check_type("max_workers", max_workers, "int")
     if max_workers < 1:
         raise ParameterError(f"max_workers must be at least 1, got {max_workers}")
-    pairs = [(value, seed) for value in spec.values for seed in spec.seeds]
+    pairs = []
+    for value in spec.values:
+        for seed in spec.seeds:
+            try:
+                params = replace(compose_params(spec.base, spec.axis, value),
+                                 seed=seed)
+                window, _, all_obs = build_inputs(field, params, end_cycle)
+            except CswaError as err:
+                raise ParameterError(f"sweep cell {spec.axis}={value!r} "
+                                     f"seed={seed}: {err}") from err
+            inputs = params, window, all_obs, aggregate_for_baseline(all_obs)
+            pairs.append((value, seed, inputs))
 
-    def run(pair):
-        value, seed = pair
-        try:
-            params = replace(compose_params(spec.base, spec.axis, value),
-                             seed=seed)
-            window, _, all_obs = build_inputs(field, params, end_cycle)
-        except CswaError as err:
-            raise ParameterError(
-                f"sweep cell {spec.axis}={value!r} seed={seed}: {err}") from err
-        inputs = params, window, all_obs, aggregate_for_baseline(all_obs)
-        return [_run_cell(spec, value, seed, inputs, method)
-                for method in spec.methods]
+    groups: dict[tuple, list[int]] = {}
+    if "tsvd" in spec.methods:
+        for index, (_, _, (params, window, _, _)) in enumerate(pairs):
+            groups.setdefault((window.shape, params.latent), []).append(index)
+    others = [method for method in spec.methods if method != "tsvd"]
 
+    def run_pair(value, seed, inputs):
+        return [_run_cell(spec, value, seed, inputs, method) for method in others]
+
+    tasks = [partial(_impute_group, spec, [pairs[i] for i in members], latent)
+             for (_, latent), members in groups.items()]
+    tasks += [partial(run_pair, *pair) for pair in pairs]
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            groups = list(pool.map(run, pairs))
+            done = list(pool.map(lambda task: task(), tasks))
     else:
-        groups = [run(pair) for pair in pairs]
-    return [record for group in groups for record in group]
+        done = [task() for task in tasks]
+
+    tsvd = {}
+    for members, records in zip(groups.values(), done):
+        tsvd.update(zip(members, records))
+    records = []
+    for index, cells in enumerate(done[len(groups):]):
+        cells = iter(cells)
+        records += [tsvd[index] if method == "tsvd" else next(cells)
+                    for method in spec.methods]
+    return records
 
 
 def median_errors(records: list[SweepRecord]) -> dict[tuple, float]:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cswa import ParameterError, generate_lowrank_field, mean_fill, tsvd_impute
+from cswa import (ParameterError, ShapeError, generate_lowrank_field,
+                  mean_fill, tsvd_impute, tsvd_impute_all)
 
 from conftest import dense_observations
 
@@ -98,6 +99,46 @@ def test_tsvd_rejects_bad_argument_naming_it(name, bad):
     obs = _masked_obs(np.ones((4, 3)), np.ones((4, 3)))
     with pytest.raises(ParameterError, match=rf"^{name} must"):
         tsvd_impute(obs, **dict({"k": 1}, **{name: bad}))
+
+
+# --- tsvd_impute_all ---
+
+def _staggered_stack():
+    """Three 12x8 windows that stop in different rounds at tol=1e-2 and
+    max_rounds=40: a noisy half-observed one runs to the cap, a fully
+    observed one stops in round 1, and an exactly rank-2 one with 15% of
+    its cells missing stops in between."""
+    rng = np.random.default_rng(10)
+    full = _masked_obs(rng.random((12, 8)) + 0.5, np.ones((12, 8)))
+    lowrank = generate_lowrank_field(12, 8, rank=2, seed=11).values
+    mask = np.ones((12, 8))
+    mask[rng.random((12, 8)) < 0.15] = 0.0
+    early = _masked_obs(lowrank, mask)
+    noisy = rng.random((12, 8))
+    capped = _masked_obs(noisy, (rng.random((12, 8)) < 0.5).astype(float))
+    return [capped, full, early]
+
+
+def test_tsvd_all_matches_each_window_alone():
+    stack = _staggered_stack()
+    together = tsvd_impute_all(stack, k=2, max_rounds=40, tol=1e-2)
+    alone = [tsvd_impute(obs, k=2, max_rounds=40, tol=1e-2) for obs in stack]
+    assert [r.iterations for r in alone] == [40, 1, 15]
+    for mixed, single in zip(together, alone):
+        assert mixed.iterations == single.iterations
+        assert mixed.completed.tobytes() == single.completed.tobytes()
+
+
+def test_tsvd_all_rejects_empty_sequence():
+    with pytest.raises(ParameterError, match="aggregated"):
+        tsvd_impute_all([], k=1)
+
+
+def test_tsvd_all_rejects_mixed_shapes_naming_both():
+    small = _masked_obs(np.ones((4, 3)), np.ones((4, 3)))
+    large = _masked_obs(np.ones((5, 3)), np.ones((5, 3)))
+    with pytest.raises(ShapeError, match=r"\(4, 3\).*\(5, 3\)"):
+        tsvd_impute_all([small, large], k=1)
 
 
 # --- mean_fill ---

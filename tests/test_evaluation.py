@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from cswa import (Hyperparams, ParameterError, ShapeError, SweepSpec,
-                  absolute_error, comm_bound,
+                  absolute_error, aggregate_for_baseline, comm_bound,
                   compose_params, generate_lowrank_field, median_errors,
-                  records_to_csv, run_sweep)
+                  records_to_csv, run_sweep, tsvd_impute)
+from cswa.evaluation import build_inputs
 
 
 def _base(**overrides):
@@ -116,6 +119,30 @@ def test_sweep_concurrent_matches_sequential():
     strip = lambda rs: [(r.axis, r.value, r.method, r.seed, r.abs_error,
                          r.iterations, r.scalars) for r in rs]
     assert strip(sequential) == strip(concurrent)
+
+
+@pytest.mark.parametrize("axis, values", [("w", (8, 10)), ("l", (1, 2))])
+def test_sweep_tsvd_groups_match_direct_imputation(axis, values):
+    # two window shapes (w) or two ranks (l) make two lockstep groups of
+    # two pairs each; every tsvd record is what the pair's own inputs give
+    field = generate_lowrank_field(12, 10, rank=2, seed=7)
+    spec = SweepSpec(base=_base(), axis=axis, values=values, seeds=(0, 1),
+                     methods=("cswa", "centralized", "tsvd", "meanfill"))
+    strip = lambda rs: [(r.axis, r.value, r.method, r.seed, r.abs_error,
+                         r.iterations, r.scalars) for r in rs]
+    runs = [run_sweep(spec, field, max_workers=n) for n in (1, 2)]
+    assert strip(runs[0]) == strip(runs[1])
+    tsvd = [r for r in runs[0] if r.method == "tsvd"]
+    assert [(r.value, r.seed) for r in tsvd] == [
+        (v, s) for v in values for s in (0, 1)]
+    for record in tsvd:
+        params = replace(compose_params(spec.base, axis, record.value),
+                         seed=record.seed)
+        window, _, all_obs = build_inputs(field, params)
+        direct = tsvd_impute(aggregate_for_baseline(all_obs), k=params.latent)
+        assert record.abs_error == absolute_error(direct.completed, window)
+        assert record.iterations == direct.iterations
+        assert record.scalars == 0
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
