@@ -23,7 +23,7 @@ from .datagen import assign_coverage, generate_lowrank_field, load_field_csv, \
     write_field_csv
 from .errors import CswaError, NumericError, ParameterError, ParseError
 from .evaluation import SweepSpec, absolute_error, build_inputs, \
-    median_errors, records_to_csv, run_sweep
+    compose_params, median_errors, records_to_csv, run_sweep
 from .model import Field, Hyperparams, check_type
 from .protocol import ORGANIZER, RECORD_KEYS, audit_transcript, run_simulation
 from .rng import substream
@@ -112,7 +112,28 @@ def build_config(doc: dict, overrides: dict) -> RunConfig:
             check_type(f"synthetic.{key}", value, "int")
         # known dimensions: fail before any field is built
         params.check_against(synthetic["num_subareas"])
+    _sweep_spec(config)   # every command echoes the section: check it here
     return config
+
+
+def _sweep_spec(config: RunConfig) -> SweepSpec | None:
+    """The config's ``sweep`` section as a :class:`SweepSpec` on its run
+    parameters, or None without one. The section must have exactly the
+    spec's keys, and every value must compose with the run parameters."""
+    section = config.sweep
+    if section is None:
+        return None
+    required = {f.name for f in fields(SweepSpec)[1:]}
+    if set(section) != required:
+        raise ParameterError(f"sweep section must have exactly the keys "
+                             f"{sorted(required)}, got {section!r}")
+    spec = SweepSpec(base=config.params, **section)
+    for value in spec.values:
+        try:
+            compose_params(spec.base, spec.axis, value)
+        except ParameterError as err:
+            raise ParameterError(f"sweep.values: {err}") from err
+    return spec
 
 
 def _build_field(config: RunConfig) -> Field:
@@ -177,15 +198,10 @@ def cmd_run(config: RunConfig, audit: bool = False,
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    if config.sweep is None:
+    spec = _sweep_spec(config)
+    if spec is None:
         raise ParameterError("sweep requires a 'sweep' config section "
                              "{axis, values, seeds, methods}")
-    section = config.sweep
-    required = {f.name for f in fields(SweepSpec)[1:]}
-    if set(section) != required:
-        raise ParameterError(f"sweep section must have exactly the keys "
-                             f"{sorted(required)}, got {section!r}")
-    spec = SweepSpec(base=config.params, **section)
     field = _build_field(config)
     records = run_sweep(spec, field, end_cycle=config.end_cycle)
 

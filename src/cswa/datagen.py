@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError, ShapeError
 from .model import (Field, Hyperparams, LocalObservations, check_cells,
-                    check_type)
+                    check_shared, check_type)
 from .rng import substream
 
 
@@ -250,28 +250,53 @@ def assign_coverage(params: Hyperparams, num_subareas: int,
     {1..s}, then k distinct subareas are chosen uniformly without
     replacement. One child stream per participant, and the schedule is the
     one that child's ``integers(1, s + 1)`` and ``choice(S, size=k,
-    replace=False)`` would draw cycle by cycle. The draws are made from the
-    children's raw words for all participants at once, one cycle at a time.
+    replace=False)`` would draw cycle by cycle. The one-schedule case of
+    :func:`assign_coverage_all`.
+    """
+    return assign_coverage_all([params], num_subareas, [rng])[0]
+
+
+def assign_coverage_all(params, num_subareas: int,
+                        rngs) -> list[CoverageSchedule]:
+    """:func:`assign_coverage` of every (params, stream) pair of the two
+    sequences, drawn together: the draws are made from every pair's
+    children's raw words at once, one cycle at a time, and the cells of
+    every participant of every pair are marked in one pass. A child
+    stream's draws depend on that stream alone, so each schedule is the one
+    its pair gives alone. The pairs must share ``window`` and
+    ``max_subareas``, and their streams one bit generator type.
     """
     check_type("num_subareas", num_subareas, "int")
     if num_subareas < 1:
         raise ParameterError(f"num_subareas must be at least 1, got {num_subareas!r}")
-    if params.max_subareas > num_subareas:
+    if not len(params) == len(rngs) > 0:
+        raise ParameterError("params and rngs must be non-empty and of one "
+                             f"length, got {len(params)} and {len(rngs)}")
+    check_shared("schedules", **{name: [getattr(p, name) for p in params]
+                                 for name in ("window", "max_subareas")})
+    if params[0].max_subareas > num_subareas:
         raise ParameterError(
-            f"max_subareas ({params.max_subareas}) exceeds the number of "
+            f"max_subareas ({params[0].max_subareas}) exceeds the number of "
             f"subareas ({num_subareas})")
     per_raw = next((n for name, n in _WORDS_PER_RAW.items()
-                    if isinstance(rng.bit_generator, getattr(np.random, name))),
-                   None)
+                    if all(isinstance(rng.bit_generator,
+                                      getattr(np.random, name))
+                           for rng in rngs)), None)
     if per_raw is None:
         raise ParameterError(
             "coverage draws need one of numpy's bit generators "
-            f"({', '.join(_WORDS_PER_RAW)}), got {type(rng.bit_generator).__name__}")
-    m, S, W, s = (params.num_participants, int(num_subareas), params.window,
-                  params.max_subareas)
-    rows = _covered_cells(S, *_draw_cycles(
-        [child.bit_generator for child in rng.spawn(m)], per_raw, S, W, s))
-    return CoverageSchedule(S, W, rows)
+            f"({', '.join(_WORDS_PER_RAW)}), the same for every stream, got "
+            f"{', '.join(type(rng.bit_generator).__name__ for rng in rngs)}")
+    S, W, s = int(num_subareas), params[0].window, params[0].max_subareas
+    children = [child.bit_generator for pair_params, rng in zip(params, rngs)
+                for child in rng.spawn(pair_params.num_participants)]
+    rows = _covered_cells(S, *_draw_cycles(children, per_raw, S, W, s))
+    schedules, first = [], 0
+    for pair_params in params:
+        last = first + pair_params.num_participants
+        schedules.append(CoverageSchedule(S, W, rows[first:last]))
+        first = last
+    return schedules
 
 
 def _covered_cells(num_subareas: int, counts: np.ndarray,

@@ -3,11 +3,12 @@
 A sweep varies one of the four performance factors (participants m,
 coverage cap s, window w, latent size l) over a list of values, running
 the chosen methods for each (value, seed) pair on coverage and observations
-generated once for that pair. Every pair's inputs are built first. The
-tsvd baseline then runs as one lockstep task per group of pairs that share
-a window shape and latent size, and the other methods as one task per
-pair; the tasks are independent and may run concurrently, and records come
-back in a deterministic order.
+generated once for that pair. Every pair's inputs are built first, the
+schedules of pairs that share a window and coverage cap in one stacked
+draw. The pairs are then grouped by window shape and latent size, and each
+method runs as one stacked call per group (mean fill pair by pair), one
+call after another on the calling thread; records come back in a
+deterministic order.
 """
 
 from __future__ import annotations
@@ -15,22 +16,25 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from statistics import median
 
 import numpy as np
 
-# tsvd_impute is no longer called here; the benchmark's tracer
-# (bench/run.py) still wraps it by this module's name
-from .baselines import mean_fill, tsvd_impute, tsvd_impute_all  # noqa: F401
-from .datagen import assign_coverage, observe
+from .baselines import mean_fill, tsvd_impute_all
+from .datagen import assign_coverage_all, observe
 from .errors import CswaError, ParameterError, ShapeError
-from .factorization import solve_centralized
+from .factorization import solve_centralized_all
 from .model import Field, Hyperparams, build_window, check_type
-from .protocol import aggregate_for_baseline, run_simulation
+from .protocol import aggregate_for_baseline, run_simulation_all
 from .rng import substream
+
+# Nothing here calls these one-item forms; the benchmark's tracer
+# (bench/run.py) still wraps them by this module's names
+from .baselines import tsvd_impute  # noqa: F401
+from .datagen import assign_coverage  # noqa: F401
+from .factorization import solve_centralized  # noqa: F401
+from .protocol import run_simulation  # noqa: F401
 
 METHODS = ("cswa", "centralized", "tsvd", "meanfill")
 
@@ -66,6 +70,13 @@ class SweepSpec:
             object.__setattr__(self, name, tuple(value))
         for seed in self.seeds:
             check_type("sweep.seeds", seed, "int")
+        for name in ("values", "seeds", "methods"):
+            value = getattr(self, name)
+            repeated = [v for i, v in enumerate(value) if v in value[:i]]
+            if repeated:
+                raise ParameterError(
+                    f"sweep.{name} repeats {repeated[0]!r}; each of its "
+                    "entries must be distinct")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ParameterError(
@@ -132,6 +143,15 @@ def compose_params(base: Hyperparams, axis: str, value) -> Hyperparams:
                              f"parameters: {err}") from err
 
 
+def _window(field: Field, params: Hyperparams,
+            end_cycle: int | None) -> np.ndarray:
+    """The ground-truth window of ``params`` ending at ``end_cycle``
+    (default: the last cycle), once ``params`` fits the field."""
+    params.check_against(field.num_subareas)
+    return build_window(field, field.num_cycles if end_cycle is None
+                        else end_cycle, params.window)
+
+
 def build_inputs(field: Field, params: Hyperparams,
                  end_cycle: int | None = None):
     """The ground-truth window ending at ``end_cycle`` (default: the last
@@ -139,66 +159,84 @@ def build_inputs(field: Field, params: Hyperparams,
     it, drawn from the ``coverage`` and ``observe`` streams of
     ``params.seed``. Returns (window, schedule, observations).
 
-    The one datagen path of ``cswa run`` and of each sweep (value, seed)
-    pair. It calls ``assign_coverage`` and ``observe`` through this module,
-    where the benchmark's tracer (``bench/run.py``) wraps them.
+    The datagen path of ``cswa run``: the one-pair case of
+    :func:`build_inputs_all`.
     """
-    params.check_against(field.num_subareas)
-    last = field.num_cycles if end_cycle is None else end_cycle
-    window = build_window(field, last, params.window)
-    schedule = assign_coverage(params, field.num_subareas,
-                               substream(params.seed, "coverage"))
-    observations = observe(window, schedule, params.noise_sigma,
-                           substream(params.seed, "observe"))
-    return window, schedule, observations
+    return build_inputs_all(field, [params], end_cycle)[0]
+
+
+def build_inputs_all(field: Field, params, end_cycle: int | None = None):
+    """:func:`build_inputs` of every parameter set in the sequence
+    ``params``, each checked before any is drawn. The schedules of the
+    sets that share a window and a coverage cap are drawn in one
+    ``assign_coverage_all`` call, each bit for bit what it is alone; the
+    observations are drawn set by set, through this module's ``observe``,
+    which the benchmark's tracer (``bench/run.py``) wraps.
+    """
+    windows = [_window(field, p, end_cycle) for p in params]
+    groups: dict[tuple, list[int]] = {}
+    for index, p in enumerate(params):
+        groups.setdefault((p.window, p.max_subareas), []).append(index)
+    schedules = [None] * len(params)
+    for members in groups.values():
+        drawn = assign_coverage_all(
+            [params[i] for i in members], field.num_subareas,
+            [substream(params[i].seed, "coverage") for i in members])
+        for index, schedule in zip(members, drawn):
+            schedules[index] = schedule
+    return [(window, schedule,
+             observe(window, schedule, p.noise_sigma,
+                     substream(p.seed, "observe")))
+            for p, window, schedule in zip(params, windows, schedules)]
 
 
 def _run_cell(spec: SweepSpec, value, seed: int, inputs: tuple,
               method: str) -> SweepRecord:
-    """One method other than tsvd on the (params, window, observations,
+    """A per-pair method, mean fill, on the (params, window, observations,
     aggregated observations) of (value, seed).
 
-    Called once per non-tsvd record, with ``method`` the fifth positional
+    Called once per mean-fill record, with ``method`` the fifth positional
     argument: the benchmark's tracer (``bench/run.py``) names each cell's
-    span by it. tsvd records do not pass through here; ``run_sweep``
-    imputes them a group of pairs at a time.
+    span by it. The stacked methods' records do not pass through here;
+    ``run_sweep`` runs them a group of pairs at a time.
     """
-    params, window, all_obs, aggregated = inputs
+    if method != "meanfill":
+        raise ParameterError(f"{method!r} is not a per-pair method")
+    _, window, _, aggregated = inputs
     start = time.perf_counter()
-    scalars = 0
-    if method == "cswa":
-        result = run_simulation(all_obs, params)
-        recovered = result.recovered
-        iterations = sum(result.per_chain_iters)
-        scalars = result.scalars_transferred()
-    elif method == "centralized":
-        factors, iterations = solve_centralized(
-            aggregated, params, substream(seed, "centralized"))
-        recovered = factors.product()
-    elif method == "meanfill":
-        recovered = mean_fill(aggregated)
-        iterations = 0
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    recovered = mean_fill(aggregated)
     wall_ms = (time.perf_counter() - start) * 1e3
-
     return SweepRecord(spec.axis, value, method, seed,
-                       absolute_error(recovered, window), iterations,
-                       scalars, wall_ms)
+                       absolute_error(recovered, window), 0, 0, wall_ms)
 
 
-def _impute_group(spec: SweepSpec, group: list, latent: int) -> list[SweepRecord]:
-    """The tsvd records of a group of (value, seed, inputs) pairs whose
-    windows share one shape and whose latent size is ``latent``, imputed in
-    lockstep. Each record's ``wall_ms`` is the group's time divided by its
-    size."""
+def _run_group(spec: SweepSpec, method: str, group: list) -> list[SweepRecord]:
+    """The records of ``method``, one of the stacked methods, for a group
+    of (value, seed, inputs) pairs whose windows share one shape and whose
+    parameters one latent size, from one stacked call. Each record's
+    ``wall_ms`` is the call's time divided by the group's size."""
+    params = [inputs[0] for _, _, inputs in group]
+    aggregated = [inputs[3] for _, _, inputs in group]
     start = time.perf_counter()
-    results = tsvd_impute_all([inputs[3] for _, _, inputs in group], k=latent)
+    if method == "cswa":
+        outputs = [(result.recovered, sum(result.per_chain_iters),
+                    result.scalars_transferred())
+                   for result in run_simulation_all(
+                       [(inputs[2], inputs[0]) for _, _, inputs in group])]
+    elif method == "centralized":
+        rngs = [substream(seed, "centralized") for _, seed, _ in group]
+        outputs = [(factors.product(), iterations, 0)
+                   for factors, iterations
+                   in solve_centralized_all(aggregated, params, rngs)]
+    else:
+        outputs = [(result.completed, result.iterations, 0) for result
+                   in tsvd_impute_all(aggregated, k=params[0].latent)]
     wall_ms = (time.perf_counter() - start) * 1e3 / len(group)
-    return [SweepRecord(spec.axis, value, "tsvd", seed,
-                        absolute_error(result.completed, inputs[1]),
-                        result.iterations, 0, wall_ms)
-            for (value, seed, inputs), result in zip(group, results)]
+    return [SweepRecord(spec.axis, value, method, seed,
+                        absolute_error(recovered, inputs[1]), iterations,
+                        scalars, wall_ms)
+            for (value, seed, inputs), (recovered, iterations, scalars)
+            in zip(group, outputs)]
 
 
 def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
@@ -207,61 +245,59 @@ def run_sweep(spec: SweepSpec, field: Field, *, end_cycle: int | None = None,
     deterministic (value, seed, method) order.
 
     Every (value, seed) pair's observations, and their aggregation for the
-    baselines, are built first, once, and shared by all its methods,
-    keeping comparisons paired. Then one task per group of pairs with the
-    same window shape and latent size runs tsvd on the group's windows in
-    lockstep (``tsvd_impute_all``), and one task per pair runs its other
-    methods. The group tasks come first: on a pool their stacked LAPACK
-    calls, which release the GIL, overlap the pair tasks' Python. A tsvd
-    record's ``wall_ms`` is its group's time divided by the group's size.
+    baselines, are built first, once (``build_inputs_all``), and shared by
+    all its methods, keeping comparisons paired. The pairs are then grouped
+    by window shape and latent size, and each method, in ``spec.methods``
+    order, runs as one stacked call per group (``run_simulation_all``,
+    ``solve_centralized_all``, ``tsvd_impute_all``), except mean fill,
+    which runs pair by pair. A stacked record's ``wall_ms`` is its group's
+    time divided by the group's size. Everything runs on the calling
+    thread, one call after another.
 
     Cell randomness derives only from the cell's composed parameters, and
-    each window's imputation is bit for bit what it is alone, so any
-    worker count returns identical records, wall time aside.
+    each pair's result in a stacked call is bit for bit what it is alone.
+    ``max_workers`` is accepted and checked for backward compatibility (at
+    least 1) but changes nothing: with every method stacked there is no
+    per-pair task left to spread over threads, and a second thread only
+    contended for the GIL.
     """
     check_type("max_workers", max_workers, "int")
     if max_workers < 1:
         raise ParameterError(f"max_workers must be at least 1, got {max_workers}")
-    pairs = []
+    cells = []
     for value in spec.values:
         for seed in spec.seeds:
+            # each pair is checked here, so that an error names its cell
             try:
                 params = replace(compose_params(spec.base, spec.axis, value),
                                  seed=seed)
-                window, _, all_obs = build_inputs(field, params, end_cycle)
+                _window(field, params, end_cycle)
             except CswaError as err:
                 raise ParameterError(f"sweep cell {spec.axis}={value!r} "
                                      f"seed={seed}: {err}") from err
-            inputs = params, window, all_obs, aggregate_for_baseline(all_obs)
-            pairs.append((value, seed, inputs))
+            cells.append((value, seed, params))
+    built = build_inputs_all(field, [params for _, _, params in cells],
+                             end_cycle)
+    pairs = [(value, seed, (params, window, all_obs,
+                            aggregate_for_baseline(all_obs)))
+             for (value, seed, params), (window, _, all_obs)
+             in zip(cells, built)]
 
     groups: dict[tuple, list[int]] = {}
-    if "tsvd" in spec.methods:
-        for index, (_, _, (params, window, _, _)) in enumerate(pairs):
-            groups.setdefault((window.shape, params.latent), []).append(index)
-    others = [method for method in spec.methods if method != "tsvd"]
-
-    def run_pair(value, seed, inputs):
-        return [_run_cell(spec, value, seed, inputs, method) for method in others]
-
-    tasks = [partial(_impute_group, spec, [pairs[i] for i in members], latent)
-             for (_, latent), members in groups.items()]
-    tasks += [partial(run_pair, *pair) for pair in pairs]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            done = list(pool.map(lambda task: task(), tasks))
-    else:
-        done = [task() for task in tasks]
-
-    tsvd = {}
-    for members, records in zip(groups.values(), done):
-        tsvd.update(zip(members, records))
-    records = []
-    for index, cells in enumerate(done[len(groups):]):
-        cells = iter(cells)
-        records += [tsvd[index] if method == "tsvd" else next(cells)
-                    for method in spec.methods]
-    return records
+    for index, (_, _, (params, window, _, _)) in enumerate(pairs):
+        groups.setdefault((window.shape, params.latent), []).append(index)
+    records: list[dict] = [{} for _ in pairs]
+    for method in spec.methods:
+        if method == "meanfill":
+            for index, pair in enumerate(pairs):
+                records[index][method] = _run_cell(spec, *pair, method)
+            continue
+        for members in groups.values():
+            group = _run_group(spec, method, [pairs[i] for i in members])
+            for index, record in zip(members, group):
+                records[index][method] = record
+    return [by_method[method] for by_method in records
+            for method in spec.methods]
 
 
 def median_errors(records: list[SweepRecord]) -> dict[tuple, float]:

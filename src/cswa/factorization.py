@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .model import FactorPair, Hyperparams, LocalObservations, check_type
+from .model import (FactorPair, Hyperparams, LocalObservations,
+                    check_shared, check_type)
 
 
 @dataclass(frozen=True)
@@ -336,28 +337,83 @@ def solve_centralized(aggregated: LocalObservations, params: Hyperparams,
     max(|g_p|_inf, |g_q|_inf) <= grad_tol or the iteration budget is spent;
     returns the final factors and the iterations used. This is the
     centralized counterpart the decentralized protocol is measured against.
+    The one-pair case of :func:`solve_centralized_all`.
     """
-    if aggregated.window != params.window:
-        raise ShapeError(
-            f"aggregated window ({aggregated.window}) does not match "
-            f"params.window ({params.window})")
-    params.check_against(aggregated.num_subareas)
-    mean = aggregated.observed_mean()
-    # quarter of the data scale: starting below the data magnitude avoids
-    # long stalls near rank-1 saddle points on full-batch instances
-    scale = (mean if mean > 0 else 1.0) / 4.0
-    start = init_factors(aggregated.num_subareas, params.window,
-                         params.latent, scale, rng)
-    stack, hop_rows = _one_pair(aggregated, start, params.reg_p,
-                                params.reg_q)
-    iterations = 0
+    return solve_centralized_all([aggregated], [params], [rng])[0]
+
+
+def solve_centralized_all(aggregated: Sequence[LocalObservations],
+                          params: Sequence[Hyperparams],
+                          rngs: Sequence[np.random.Generator]
+                          ) -> list[tuple[FactorPair, int]]:
+    """:func:`solve_centralized` of every (aggregate, params, stream)
+    triple of the three sequences, in lockstep: every pair is one row of
+    one :class:`_Stack`, over a table with a row per aggregate, and leaves
+    the stack in the round it stops, by its own ``grad_tol`` or
+    ``max_iters``. Each result is bit for bit what the pair gives alone
+    (see :meth:`_Stack.hop`).
+
+    The aggregates must share one shape, and the parameters their
+    ``latent``, ``step_size``, ``reg_p`` and ``reg_q``; a
+    :class:`ParameterError` names the first that differs. A diverging call
+    raises for the lowest diverging pair with its own iteration, which is
+    what solving the pairs one at a time in order would raise.
+    """
+    if not (len(aggregated) == len(params) == len(rngs) > 0):
+        raise ParameterError(
+            "aggregated, params and rngs must be non-empty and of one "
+            f"length, got {len(aggregated)}, {len(params)} and {len(rngs)}")
+    for obs, pair_params in zip(aggregated, params):
+        if obs.window != pair_params.window:
+            raise ShapeError(
+                f"aggregated window ({obs.window}) does not match "
+                f"params.window ({pair_params.window})")
+        pair_params.check_against(obs.num_subareas)
+    check_shared("pairs",
+                 shape=[(obs.num_subareas, obs.window) for obs in aggregated],
+                 **{name: [getattr(p, name) for p in params]
+                    for name in ("latent", "step_size", "reg_p", "reg_q")})
+    num_subareas, window = aggregated[0].num_subareas, aggregated[0].window
+    starts = []
+    for obs, pair_params, rng in zip(aggregated, params, rngs):
+        mean = obs.observed_mean()
+        # quarter of the data scale: starting below the data magnitude
+        # avoids long stalls near rank-1 saddle points on full-batch
+        # instances
+        scale = (mean if mean > 0 else 1.0) / 4.0
+        starts.append(init_factors(num_subareas, window, pair_params.latent,
+                                   scale, rng))
+    x = _pack(np.stack([f.p for f in starts]), np.stack([f.q for f in starts]))
+    table = gather_table(aggregated)
+    first = params[0]
+    live = list(range(len(aggregated)))
+    stack = _Stack(x, table, first.reg_p, first.reg_q)
+    hop_rows = stack.gather(np.arange(len(live)))
+    iterations = [0] * len(live)
+    diverged = []   # (pair, its iteration)
     with np.errstate(over="ignore", invalid="ignore"):   # reported here
-        for i in range(1, params.max_iters + 1):
-            delta = stack.hop(*hop_rows, params.step_size)
-            if not stack.finite().all():
-                raise NumericError(_NON_FINITE, iteration=i)
-            iterations = i
-            if delta[0] <= params.grad_tol:
-                break
-    (p,), (q,) = _unpack(stack.x, aggregated.num_subareas, params.window)
-    return FactorPair(p, q), iterations
+        for i in range(1, max(p.max_iters for p in params) + 1):
+            delta = stack.hop(*hop_rows, first.step_size).tolist()
+            finite = stack.finite().tolist()
+            keep = []
+            for k, (pair, ok, d) in enumerate(zip(live, finite, delta)):
+                if not ok:
+                    diverged.append((pair, i))
+                    continue
+                iterations[pair] = i
+                if d <= params[pair].grad_tol or i == params[pair].max_iters:
+                    x[pair] = stack.x[k]
+                else:
+                    keep.append(k)
+            if len(keep) < len(live):
+                live = [live[k] for k in keep]
+                # no pair below the lowest diverged one is still running
+                if diverged and (not live or live[0] > min(diverged)[0]):
+                    pair, at = min(diverged)
+                    raise NumericError(_NON_FINITE, iteration=at)
+                if not live:
+                    break
+                stack = _Stack(stack.x[keep], table, first.reg_p, first.reg_q)
+                hop_rows = stack.gather(np.array(live, dtype=np.intp))
+    p, q = _unpack(x, num_subareas, window)
+    return [(FactorPair(p[k], q[k]), iterations[k]) for k in range(len(x))]

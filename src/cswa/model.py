@@ -86,6 +86,16 @@ def check_type(name: str, value, kind: str) -> None:
         raise ParameterError(f"{name} must be {wanted}, got {value!r}")
 
 
+def check_shared(items: str, **values: list) -> None:
+    """Raise :class:`ParameterError` naming the first keyword whose list
+    holds two different values: each list gives one field of every item of
+    a stacked call, and ``items`` names the items."""
+    for name, seen in values.items():
+        if any(value != seen[0] for value in seen):
+            raise ParameterError(
+                f"{name} must be the same for all {items}, got {seen}")
+
+
 def _locked(arr: np.ndarray, dtype) -> np.ndarray:
     """``arr`` itself when it is of ``dtype`` and no writable view can
     reach its data (it is read-only and owns its data or views a read-only

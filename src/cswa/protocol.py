@@ -8,26 +8,30 @@ iteration budget. The organizer averages the returned pairs and multiplies
 them to recover the field window.
 
 Chains are logically parallel, and are simulated in blocks of consecutive
-chain ids: every live chain of a block takes its next hop in one stacked
-update, and a block runs to completion before the next one starts. The
-block holds as many chains as fit their (S, W) residuals in 512 KiB, at
-least one and at most N. The run's factors are one packed array, a row per
-chain, which holds the chain's initial factors and receives its final ones
-when it stops. Every block reads one gather table of all participants'
-covered cells and readings, built once per run. A chain's route depends on
-its stream alone, so a block draws its chains' next hops a window of up to
-64 rounds ahead and gathers the window's table rows at once, into two
-buffers that the run allocates next to the table and every window reuses;
-only a round in which a chain stops steps through the chains one by one.
-A round tests its factors for overflow against a running bound on the
-block's largest entry, and makes the exact test only when the bound is
-too high to rule one out. Participants are stateless with respect to
+chains: every live chain of a block takes its next hop in one stacked
+update, and a block runs to completion before the next one starts. One
+chain loop can serve several runs of one window shape and hop arithmetic
+(a sweep's group of pairs), their chains in run order and then by chain
+id, so a block may hold chains of several runs. The block holds as many
+chains as fit their (S, W) residuals in 512 KiB, at least one and at most
+all of them. The loop's factors are one packed array, a row per chain,
+which holds the chain's initial factors and receives its final ones when
+it stops. Every block reads one gather table of every run's participants'
+covered cells and readings, built once per loop. A chain's route depends
+on its stream alone, so a block draws its chains' next hops a window of up
+to 64 rounds ahead and gathers the window's table rows at once, into two
+buffers that the loop allocates next to the table and every window
+reuses; only a round in which a chain stops steps through the chains one
+by one. A round tests its factors for overflow against a running bound on
+the block's largest entry, and makes the exact test only when the bound
+is too high to rule one out. Participants are stateless with respect to
 chains (factors live in the message, observations are read-only), each
 chain draws from its own stream derived from (seed, chain_id), and each
 chain's arithmetic is the same in any block, so any interleaving yields
 the identical result. A diverging run reports the lowest diverging chain
 id with that chain's own iteration, which is what running the chains one
-at a time in id order would report.
+at a time in id order would report; a loop of several runs raises what
+running them one at a time in order would raise first.
 
 A run records each chain's route and final factors. The transcript, the
 organizer-visible data flow, is derived from the routes, and
@@ -39,6 +43,7 @@ contact before a chain finishes, factor-sized payloads only.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -47,7 +52,7 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 from .factorization import (_NON_FINITE, _Stack, _unpack, gather_table,
                             init_factors, sgd_step)
-from .model import FactorPair, Hyperparams, LocalObservations
+from .model import FactorPair, Hyperparams, LocalObservations, check_shared
 from .rng import substream
 
 ORGANIZER = "organizer"
@@ -321,41 +326,10 @@ def _window_shape(all_obs: list[LocalObservations]) -> tuple[int, int]:
     return shapes.pop()
 
 
-def run_simulation(all_obs: list[LocalObservations],
-                   params: Hyperparams) -> RunResult:
-    """Execute a full run: batch initialization, every chain to completion,
-    and recovery, recording each chain's route.
-
-    ``all_obs`` must hold participant 1..m in order. Each chain's random
-    stream is derived from (seed, chain_id) and its starting factors are
-    scaled by the starting participant's own observed mean, so results are
-    a pure function of (observations, params) regardless of how chains
-    would be interleaved.
-
-    ``params.require_convergence`` drops chains that hit the iteration
-    budget from the recovery average (they still appear in
-    routes/iterations/transcript).
-
-    Each block steps its live chains in one hop of a
-    :class:`~cswa.factorization._Stack` per round. A window walks every live
-    route to its end, with one draw of the hops it lacks, and gathers the
-    window's cells and readings into a prefix of the run's two buffers (see
-    :meth:`~cswa.factorization._Stack.gather`); rows that an earlier window
-    left past the prefix are never read. A round in which every live chain
-    is finite and above ``grad_tol`` makes no per-chain Python call and no
-    reduction beyond the hop's deltas. Its overflow test is a running upper
-    bound on the block's largest factor entry: ``x.max()`` at the window's
-    start, plus ``step_size * sum(delta)`` per round, since a hop moves pair
-    i's entries by at most ``step_size * delta[i]``. While the bound and the
-    round's growth of it stay below ``_FINITE_BOUND``, every factor and
-    update is finite; otherwise the round makes the exact test, and a false
-    alarm costs only that test. Only a round in which a chain stops goes
-    chain by chain: it truncates the stopped chains' routes to the hops
-    they made, writes their final rows, drops them from the stack and ends
-    the window; the survivors' next window starts at the following round. A
-    chain whose update is not finite retires, and once its block is done
-    the lowest diverged chain id is reported with its own iteration.
-    """
+def _run_shape(all_obs: list[LocalObservations],
+               params: Hyperparams) -> tuple[int, int]:
+    """Check one run's observations against its parameters; returns their
+    (subareas, window) shape."""
     if len(all_obs) != params.num_participants:
         raise ParameterError(
             f"expected {params.num_participants} observation sets, got {len(all_obs)}")
@@ -370,45 +344,128 @@ def run_simulation(all_obs: list[LocalObservations],
             f"observation window ({window}) does not match params.window "
             f"({params.window})")
     params.check_against(num_subareas)
+    return num_subareas, window
 
-    organizer_rng = substream(params.seed, "organizer")
-    starters = [int(j) + 1 for j in
-                organizer_rng.choice(params.num_participants,
-                                     size=params.batch_size, replace=False)]
-    chains = len(starters)
 
-    size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8), chains))
-    table = gather_table(all_obs)
-    # a window's gathered cells and readings, at most a window's rounds of
-    # a block's rows, for every window of every block to reuse
-    rounds = min(params.max_iters, _WINDOW_ROUNDS)
-    length = rounds * size * table.cells.shape[1]
-    buffers = np.empty(length, dtype=np.intp), np.empty(length)
-    # row c - 1 is chain c's packed factors: its initial ones, until its
+# what the runs of one chain loop must share: the hop kernel's rank, step
+# and regularizers, and the stop rule's budget and tolerance
+_SHARED = ("latent", "step_size", "literal_update", "reg_p", "reg_q",
+           "max_iters", "grad_tol")
+
+
+def run_simulation(all_obs: list[LocalObservations],
+                   params: Hyperparams) -> RunResult:
+    """Execute a full run: batch initialization, every chain to completion,
+    and recovery, recording each chain's route.
+
+    ``all_obs`` must hold participant 1..m in order. Each chain's random
+    stream is derived from (seed, chain_id) and its starting factors are
+    scaled by the starting participant's own observed mean, so results are
+    a pure function of (observations, params) regardless of how chains
+    would be interleaved. ``params.require_convergence`` drops chains that
+    hit the iteration budget from the recovery average (they still appear
+    in routes/iterations/transcript).
+
+    The one-run case of :func:`run_simulation_all`.
+    """
+    return run_simulation_all([(all_obs, params)])[0]
+
+
+def run_simulation_all(runs) -> list[RunResult]:
+    """:func:`run_simulation` of every ``(observations, params)`` in the
+    sequence ``runs``, in one chain loop: each result is what its run gives
+    alone. The runs must agree on the observations' shape and on the
+    fields in ``_SHARED``; a :class:`ParameterError` names the first that
+    differs. Every run is checked before any chain starts, and a failing
+    call raises what running the runs one at a time, in order, would raise
+    first.
+
+    The loop steps the chains of all runs, in run order and then by chain
+    id, in blocks of consecutive chains, over one gather table with a row
+    per participant of every run; a chain's rows are offset by its run's
+    first row, and its stream, starter draw, next-hop rule and recovery
+    are its run's. Each block steps its live chains in one hop of a
+    :class:`~cswa.factorization._Stack` per round. A window walks every live
+    route to its end, with one draw of the hops it lacks, and gathers the
+    window's cells and readings into a prefix of the loop's two buffers
+    (see :meth:`~cswa.factorization._Stack.gather`); rows that an earlier
+    window left past the prefix are never read. A round in which every live
+    chain is finite and above ``grad_tol`` makes no per-chain Python call
+    and no reduction beyond the hop's deltas. Its overflow test is a
+    running upper bound on the block's largest factor entry: ``x.max()`` at
+    the window's start, plus ``step_size * sum(delta)`` per round, since a
+    hop moves pair i's entries by at most ``step_size * delta[i]``. While
+    the bound and the round's growth of it stay below ``_FINITE_BOUND``,
+    every factor and update is finite; otherwise the round makes the exact
+    test, and a false alarm costs only that test. Only a round in which a
+    chain stops goes chain by chain: it truncates the stopped chains'
+    routes to the hops they made, writes their final rows, drops them from
+    the stack and ends the window; the survivors' next window starts at the
+    following round. A chain whose update is not finite retires; once its
+    block is done, the lowest such chain's run is the first to fail.
+    """
+    if not isinstance(runs, (list, tuple)) or not runs:
+        raise ParameterError("runs must be a non-empty list of "
+                             f"(observations, params), got {runs!r}")
+    shapes = [_run_shape(all_obs, params) for all_obs, params in runs]
+    check_shared("runs", shape=shapes,
+                 **{name: [getattr(params, name) for _, params in runs]
+                    for name in _SHARED})
+    num_subareas, window = shapes[0]
+    first_params = runs[0][1]
+    step_size, grad_tol, max_iters = (first_params.step_size,
+                                      first_params.grad_tol,
+                                      first_params.max_iters)
+
+    # row c is chain c's packed factors: its initial ones, until its
     # block's stack takes the rows over as a buffer, and its final ones
     # from its stop on
-    x = np.empty((chains, (num_subareas + window) * params.latent))
+    chains = sum(params.batch_size for _, params in runs)
+    x = np.empty((chains, (num_subareas + window) * first_params.latent))
     init_p, init_q = _unpack(x, num_subareas, window)
-    rngs, routes = [], []
-    for c, start in enumerate(starters):
-        rngs.append(substream(params.seed, "chain", c + 1))
-        local_mean = all_obs[start - 1].observed_mean()
-        factors = init_factors(num_subareas, window, params.latent,
-                               local_mean if local_mean > 0 else 1.0, rngs[c])
-        init_p[c], init_q[c] = factors.p, factors.q
-        # the first hop's draw: nothing reads the stream before it is due
-        routes.append([start])
-        _walk(routes[c], 1, rngs[c], params)
-    step_size, grad_tol, max_iters = (params.step_size, params.grad_tol,
-                                      params.max_iters)
-    step = (-1.0 if params.literal_update else 1.0) * step_size
+    # per chain, in run order and then by chain id: its run's parameters,
+    # its stream, its route, its table row for participant 0 of its run
+    # (its run's first row, less one, as routes hold 1-based ids) and
+    # whether recovery keeps it unconverged; run r's chains are rows
+    # starts[r] to starts[r + 1] - 1
+    chain_params, rngs, routes, starts = [], [], [], [0]
+    row_base, keep_all, first_row = [], [], 0
+    for all_obs, params in runs:
+        starters = substream(params.seed, "organizer").choice(
+            params.num_participants, size=params.batch_size, replace=False)
+        for chain_id, start in enumerate(starters.tolist(), start=1):
+            c = len(routes)
+            rngs.append(substream(params.seed, "chain", chain_id))
+            local_mean = all_obs[start].observed_mean()
+            factors = init_factors(num_subareas, window, params.latent,
+                                   local_mean if local_mean > 0 else 1.0,
+                                   rngs[c])
+            init_p[c], init_q[c] = factors.p, factors.q
+            # the first hop's draw: nothing reads the stream before it is due
+            routes.append([start + 1])
+            _walk(routes[c], 1, rngs[c], params)
+            chain_params.append(params)
+        starts.append(len(routes))
+        row_base += [first_row - 1] * params.batch_size
+        keep_all += [not params.require_convergence] * params.batch_size
+        first_row += params.num_participants
+    row_base, keep_all = np.array(row_base, dtype=np.intp), np.array(keep_all)
+
+    size = max(1, min(_BLOCK_BYTES // (num_subareas * window * 8), chains))
+    table = gather_table([obs for all_obs, _ in runs for obs in all_obs])
+    # a window's gathered cells and readings, at most a window's rounds of
+    # a block's rows, for every window of every block to reuse
+    rounds = min(max_iters, _WINDOW_ROUNDS)
+    length = rounds * size * table.cells.shape[1]
+    buffers = np.empty(length, dtype=np.intp), np.empty(length)
+    step = (-1.0 if first_params.literal_update else 1.0) * step_size
     converged = np.zeros(chains, dtype=bool)
-    diverged: list[tuple[int, int]] = []   # (chain id, its iteration)
+    diverged: list[tuple[int, int]] = []   # (chain, its iteration)
     with np.errstate(over="ignore", invalid="ignore"):   # reported as divergence
         for first in range(0, chains, size):
             live = list(range(first, min(first + size, chains)))
-            stack = _Stack(x[first:first + size], table, params.reg_p,
-                           params.reg_q)
+            stack = _Stack(x[first:first + size], table, first_params.reg_p,
+                           first_params.reg_q)
             iteration = 0
             while live:
                 # a window: every live route walked to its end (with a
@@ -417,9 +474,11 @@ def run_simulation(all_obs: list[LocalObservations],
                 end = min(max_iters, iteration + _WINDOW_ROUNDS)
                 for c in live:
                     if len(routes[c]) < end:
-                        _walk(routes[c], end - len(routes[c]), rngs[c], params)
+                        _walk(routes[c], end - len(routes[c]), rngs[c],
+                              chain_params[c])
                 rows = np.array([routes[c][iteration:end] for c in live],
-                                dtype=np.intp).T - 1
+                                dtype=np.intp).T
+                rows += row_base[live]
                 bound = float(stack.x.max())
                 for hop_cells, hop_readings in zip(*stack.gather(rows,
                                                                  buffers)):
@@ -439,7 +498,7 @@ def run_simulation(all_obs: list[LocalObservations],
                             keep.append(i)
                             continue
                         if not ok:
-                            diverged.append((c + 1, iteration))
+                            diverged.append((c, iteration))
                         else:
                             done.append(i)
                             converged[c] = d <= grad_tol
@@ -447,27 +506,41 @@ def run_simulation(all_obs: list[LocalObservations],
                     x[[live[i] for i in done]] = stack.x[done]
                     live = [live[i] for i in keep]
                     if live:
-                        stack = _Stack(stack.x[keep], table, params.reg_p,
-                                       params.reg_q)
+                        stack = _Stack(stack.x[keep], table,
+                                       first_params.reg_p, first_params.reg_q)
                     break   # the survivors' next window starts at this round
             if diverged:
-                chain_id, at = min(diverged)
+                # every run before the diverging chain's is done
+                c, at = min(diverged)
+                run = bisect_right(starts, c) - 1
+                _require_kept(converged | keep_all, starts[:run + 1])
                 raise NumericError(_NON_FINITE, iteration=at,
-                                   chain_id=chain_id)
-    kept = converged | (not params.require_convergence)
-    if not kept.any():
+                                   chain_id=c - starts[run] + 1)
+    kept = converged | keep_all
+    _require_kept(kept, starts)
+    results = []
+    for run, (_, params) in enumerate(runs):
+        own = slice(starts[run], starts[run + 1])
+        recovered, averaged = recover(*_unpack(x[own][kept[own]],
+                                               num_subareas, window))
+        results.append(RunResult(
+            recovered=recovered,
+            p_bar=averaged.p,
+            q_bar=averaged.q,
+            routes=tuple(map(tuple, routes[own])),
+            converged_chains=int(converged[own].sum()),
+            config=params.to_dict(),
+        ))
+    return results
+
+
+def _require_kept(kept: np.ndarray, starts: list[int]) -> None:
+    """Raise if recovery would average no chain of some run: run r's
+    chains are ``kept[starts[r]:starts[r + 1]]``, True where kept."""
+    if not all(kept[a:b].any() for a, b in zip(starts, starts[1:])):
         raise ParameterError(
             "require_convergence dropped every chain; raise max_iters or "
             "grad_tol")
-    recovered, averaged = recover(*_unpack(x[kept], num_subareas, window))
-    return RunResult(
-        recovered=recovered,
-        p_bar=averaged.p,
-        q_bar=averaged.q,
-        routes=tuple(map(tuple, routes)),
-        converged_chains=int(converged.sum()),
-        config=params.to_dict(),
-    )
 
 
 def audit_transcript(transcript: list[dict],

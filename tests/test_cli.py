@@ -151,16 +151,16 @@ def test_run_zero_noise_full_coverage(tmp_path, capsys):
 
 def test_run_builds_observations_through_evaluation(tmp_path, monkeypatch):
     # `cswa run` and the sweep share one datagen path, which calls
-    # assign_coverage and observe through cswa.evaluation
+    # assign_coverage_all and observe through cswa.evaluation
     from cswa import evaluation
     calls = []
-    for name in ("assign_coverage", "observe"):
+    for name in ("assign_coverage_all", "observe"):
         original = getattr(evaluation, name)
         monkeypatch.setattr(evaluation, name, lambda *args, f=original, n=name:
                             calls.append(n) or f(*args))
     config = _write_config(tmp_path, _run_config(tmp_path, max_iters=5))
     assert main(["run", "--config", config]) == 0
-    assert calls == ["assign_coverage", "observe"]
+    assert calls == ["assign_coverage_all", "observe"]
 
 
 def test_run_rejects_oversized_latent_before_computing(tmp_path):
@@ -441,6 +441,23 @@ def test_malformed_config_value_rejected(tmp_path, capsys, key, edit):
     command = "sweep" if "sweep" in doc else "run"
     assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ({"values": [4, "x"]}, "sweep.values"),
+    ({"values": []}, "sweep.values"),
+    ({"seeds": [0, 0]}, "sweep.seeds"),
+    ({"axis": "q"}, "sweep.axis"),
+], ids=["value-string", "values-empty", "seeds-repeated", "axis-unknown"])
+def test_run_rejects_malformed_sweep_section(tmp_path, capsys, section, key):
+    # `cswa run` echoes the sweep section into its config, so it checks
+    # the section as `cswa sweep` does before running
+    doc = _run_config(tmp_path, max_iters=5)
+    doc["sweep"] = dict({"axis": "m", "values": [4, 8], "seeds": [0],
+                         "methods": ["meanfill"]}, **section)
+    assert main(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_null_optional_keys_take_defaults(tmp_path, monkeypatch):

@@ -268,6 +268,32 @@ def test_coverage_accepts_numpy_integer_subareas():
     assert np.array_equal(dense_coverage(a), dense_coverage(b))
 
 
+@pytest.mark.parametrize("subareas, s", [(40, 3), (10001, 250)])
+def test_coverage_all_matches_schedules_alone(subareas, s):
+    # pairs of different m and seeds, drawn together, at the sweep-m shape
+    # and with numpy's tail shuffle
+    pairs = [_params(num_participants=m, batch_size=1, max_subareas=s,
+                     window=6, seed=seed)
+             for m, seed in ((4, 0), (16, 1), (2, 0), (8, 5))]
+    alone = [assign_coverage(p, subareas, substream(p.seed, "coverage"))
+             for p in pairs]
+    together = datagen.assign_coverage_all(
+        pairs, subareas, [substream(p.seed, "coverage") for p in pairs])
+    for schedule, expected in zip(together, alone):
+        assert schedule.num_participants == expected.num_participants
+        for cells, expected_cells in zip(schedule.cells, expected.cells):
+            assert np.array_equal(cells, expected_cells)
+
+
+@pytest.mark.parametrize("name, edit", [("window", {"window": 7}),
+                                        ("max_subareas", {"max_subareas": 2})])
+def test_coverage_all_rejects_pairs_that_disagree(name, edit):
+    pairs = [_params(), _params(**edit)]
+    with pytest.raises(ParameterError, match=name):
+        datagen.assign_coverage_all(pairs, 20,
+                                    [substream(0, "coverage")] * 2)
+
+
 def test_coverage_rejects_unknown_bit_generator():
     class Homemade(np.random.BitGenerator):
         pass

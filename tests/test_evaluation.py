@@ -5,8 +5,9 @@ from dataclasses import replace
 
 from cswa import (Hyperparams, ParameterError, ShapeError, SweepSpec,
                   absolute_error, aggregate_for_baseline, comm_bound,
-                  compose_params, generate_lowrank_field, median_errors,
-                  records_to_csv, run_sweep, tsvd_impute)
+                  compose_params, generate_lowrank_field, mean_fill,
+                  median_errors, records_to_csv, run_simulation, run_sweep,
+                  solve_centralized, substream, tsvd_impute)
 from cswa.evaluation import build_inputs
 
 
@@ -121,28 +122,42 @@ def test_sweep_concurrent_matches_sequential():
     assert strip(sequential) == strip(concurrent)
 
 
-@pytest.mark.parametrize("axis, values", [("w", (8, 10)), ("l", (1, 2))])
+@pytest.mark.parametrize("axis, values", [("w", (8, 10)), ("l", (1, 2)),
+                                          ("m", (3, 6, 8)), ("s", (1, 3))])
 def test_sweep_tsvd_groups_match_direct_imputation(axis, values):
     # two window shapes (w) or two ranks (l) make two lockstep groups of
-    # two pairs each; every tsvd record is what the pair's own inputs give
+    # two pairs each; m and s make one group whose runs differ in network
+    # size or coverage cap. Every record of every method is what a direct
+    # call on the pair's own inputs gives
     field = generate_lowrank_field(12, 10, rank=2, seed=7)
-    spec = SweepSpec(base=_base(), axis=axis, values=values, seeds=(0, 1),
+    spec = SweepSpec(base=_base(grad_tol=0.05), axis=axis, values=values,
+                     seeds=(0, 1),
                      methods=("cswa", "centralized", "tsvd", "meanfill"))
     strip = lambda rs: [(r.axis, r.value, r.method, r.seed, r.abs_error,
                          r.iterations, r.scalars) for r in rs]
-    runs = [run_sweep(spec, field, max_workers=n) for n in (1, 2)]
-    assert strip(runs[0]) == strip(runs[1])
-    tsvd = [r for r in runs[0] if r.method == "tsvd"]
-    assert [(r.value, r.seed) for r in tsvd] == [
-        (v, s) for v in values for s in (0, 1)]
-    for record in tsvd:
-        params = replace(compose_params(spec.base, axis, record.value),
-                         seed=record.seed)
-        window, _, all_obs = build_inputs(field, params)
-        direct = tsvd_impute(aggregate_for_baseline(all_obs), k=params.latent)
-        assert record.abs_error == absolute_error(direct.completed, window)
-        assert record.iterations == direct.iterations
-        assert record.scalars == 0
+    records = run_sweep(spec, field)
+    assert [(r.value, r.seed, r.method) for r in records] == [
+        (v, s, m) for v in values for s in (0, 1) for m in spec.methods]
+    direct = []
+    for value in values:
+        for seed in (0, 1):
+            params = replace(compose_params(spec.base, axis, value), seed=seed)
+            window, _, all_obs = build_inputs(field, params)
+            aggregated = aggregate_for_baseline(all_obs)
+            run = run_simulation(all_obs, params)
+            factors, iterations = solve_centralized(
+                aggregated, params, substream(seed, "centralized"))
+            imputed = tsvd_impute(aggregated, k=params.latent)
+            outputs = {
+                "cswa": (run.recovered, sum(run.per_chain_iters),
+                         run.scalars_transferred()),
+                "centralized": (factors.product(), iterations, 0),
+                "tsvd": (imputed.completed, imputed.iterations, 0),
+                "meanfill": (mean_fill(aggregated), 0, 0)}
+            direct += [(axis, value, method, seed,
+                        absolute_error(outputs[method][0], window),
+                        *outputs[method][1:]) for method in spec.methods]
+    assert strip(records) == direct
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
@@ -220,11 +235,16 @@ def test_sweep_spec_validation():
     ({"values": 8}, "sweep.values"),
     ({"seeds": 3}, "sweep.seeds"),
     ({"methods": "cswa"}, "sweep.methods"),
+    ({"values": (8, 4, 8)}, "sweep.values"),
+    ({"seeds": [0, 1, 0]}, "sweep.seeds"),
+    ({"methods": ("cswa", "tsvd", "cswa")}, "sweep.methods"),
 ], ids=["axis-list", "values-string", "values-scalar", "seeds-scalar",
-        "methods-string"])
+        "methods-string", "values-repeated", "seeds-repeated",
+        "methods-repeated"])
 def test_sweep_spec_rejects_malformed_fields(edit, name):
-    # a string is not a list of one-character values, and a list axis is
-    # no axis name: each is refused with the field named
+    # a string is not a list of one-character values, a list axis is no
+    # axis name, and a repeat would write duplicate records: each is
+    # refused with the field named
     spec = dict(base=_base(), axis="m", values=(8,), seeds=(0,),
                 methods=("cswa",))
     with pytest.raises(ParameterError, match=name):

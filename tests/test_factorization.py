@@ -4,7 +4,7 @@ import pytest
 from cswa import (FactorPair, Hyperparams, NumericError,
                   ParameterError, ShapeError, generate_lowrank_field,
                   gradients, init_factors, masked_loss, sgd_step,
-                  solve_centralized, substream)
+                  solve_centralized, solve_centralized_all, substream)
 from cswa.evaluation import absolute_error
 from cswa.factorization import _pack, _Stack, _unpack, gather_table
 
@@ -432,3 +432,85 @@ def test_centralized_error_metric_on_recovery():
     factors, _ = solve_centralized(_full_observations(field), params,
                                    substream(4, "centralized"))
     assert absolute_error(factors.product(), field.values) < 1e-2
+
+
+# --- solve_centralized_all ---
+
+def _partial_observations(seed: int):
+    field = generate_lowrank_field(10, 12, rank=2, seed=seed)
+    mask = (np.random.default_rng(seed).random((10, 12)) < 0.6).astype(float)
+    return dense_observations(0, mask * field.values, mask)
+
+
+def test_centralized_all_matches_pairs_alone():
+    # the pairs stop by their own tolerance (after 102, 137 and 380
+    # iterations alone) or at their own budget (40), so the stack shrinks
+    # three times and its survivors change rows
+    settings = [(0, 0.1, 3000), (2, 0.0, 40), (0, 0.05, 3000), (3, 0.05, 3000)]
+    aggregated = [_partial_observations(seed) for seed, _, _ in settings]
+    params = [Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
+                          window=12, latent=2, step_size=0.01,
+                          grad_tol=grad_tol, max_iters=max_iters, seed=seed)
+              for seed, grad_tol, max_iters in settings]
+    alone = [solve_centralized(obs, p, substream(p.seed, "centralized"))
+             for obs, p in zip(aggregated, params)]
+    together = solve_centralized_all(
+        aggregated, params, [substream(p.seed, "centralized") for p in params])
+    assert [iters for _, iters in alone] == [102, 40, 137, 380]
+    for (factors, iters), (expected, expected_iters) in zip(together, alone):
+        assert iters == expected_iters
+        assert factors.p.tobytes() == expected.p.tobytes()
+        assert factors.q.tobytes() == expected.q.tobytes()
+
+
+# (data scale, grad_tol) of each pair at a step of 1e300, and the iteration
+# reported. Alone, a pair at scale 1 diverges in iteration 2 (or stops in
+# iteration 1 with a huge tolerance) and one at scale 1e10 in iteration 1
+_CENTRAL_FIRST_ERROR = {
+    "later-pair-diverges-earlier": (((1.0, 0.0), (1e10, 0.0)), 2),
+    "earlier-pair-diverges-earlier": (((1e10, 0.0), (1.0, 0.0)), 1),
+    "earlier-pair-stops-cleanly": (((1.0, 1e9), (1e10, 0.0)), 1),
+}
+
+
+@pytest.mark.parametrize("settings, iteration", _CENTRAL_FIRST_ERROR.values(),
+                         ids=_CENTRAL_FIRST_ERROR)
+def test_centralized_all_raises_for_the_lowest_diverging_pair(settings,
+                                                              iteration):
+    field = generate_lowrank_field(10, 12, rank=2, seed=2)
+    mask = np.ones_like(field.values)
+    mask[::2, ::3] = 0.0
+    aggregated = [dense_observations(0, scale * mask * field.values, mask)
+                  for scale, _ in settings]
+    params = [Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
+                          window=12, latent=2, step_size=1e300,
+                          grad_tol=grad_tol, max_iters=20, seed=2)
+              for _, grad_tol in settings]
+    with warnings_as_errors(), pytest.raises(NumericError) as excinfo:
+        solve_centralized_all(aggregated, params,
+                              [substream(2, "centralized") for _ in params])
+    assert excinfo.value.iteration == iteration
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("latent", {"latent": 1}), ("step_size", {"step_size": 2e-3}),
+    ("reg_p", {"reg_p": 0.0}), ("reg_q", {"reg_q": 0.0})])
+def test_centralized_all_rejects_pairs_that_disagree(name, edit):
+    obs = _partial_observations(0)
+    base = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
+                       window=12, latent=2, max_iters=5)
+    other = Hyperparams(**dict(base.to_dict(), **edit))
+    with pytest.raises(ParameterError, match=name):
+        solve_centralized_all([obs, obs], [base, other],
+                              [substream(0, "centralized")] * 2)
+
+
+def test_centralized_all_rejects_aggregates_of_two_shapes():
+    field = generate_lowrank_field(11, 12, rank=2, seed=0)
+    other = dense_observations(0, field.values, np.ones_like(field.values))
+    params = Hyperparams(num_participants=2, batch_size=1, max_subareas=1,
+                         window=12, latent=2, max_iters=5)
+    with pytest.raises(ParameterError, match="shape"):
+        solve_centralized_all([_partial_observations(0), other],
+                              [params, params],
+                              [substream(0, "centralized")] * 2)

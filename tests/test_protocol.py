@@ -437,6 +437,99 @@ def test_gather_table_built_once_per_run(monkeypatch):
     assert built == [params.num_participants]
 
 
+# --- run_simulation_all ---
+
+def _mixed_runs():
+    """Three runs that differ in m, batch size, seed, coverage cap (so
+    their gather-table rows differ in width), exclude_self and
+    require_convergence, at a tolerance where chains stop after 2 to 70
+    hops."""
+    shared = dict(window=12, max_iters=70, grad_tol=1.0, noise_sigma=0.01)
+    runs = []
+    for settings in (dict(num_participants=9, batch_size=7, max_subareas=3,
+                          seed=0, require_convergence=True),
+                     dict(num_participants=4, batch_size=2, max_subareas=6,
+                          seed=1, exclude_self=False),
+                     dict(num_participants=6, batch_size=6, max_subareas=1,
+                          seed=2)):
+        params = _params(**shared, **settings)
+        obs, _ = _make_obs(params, num_subareas=10, field_seed=params.seed)
+        runs.append((obs, params))
+    return runs
+
+
+@pytest.mark.parametrize("chains_per_block", [1, 3, None])
+def test_run_simulation_all_matches_runs_alone(monkeypatch, chains_per_block):
+    # blocks of 1 chain, of 3 (which straddle runs), or of all 15
+    runs = _mixed_runs()
+    alone = [run_simulation(obs, params) for obs, params in runs]
+    if chains_per_block is not None:
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES",
+                            chains_per_block * 10 * 12 * 8)
+    together = protocol.run_simulation_all(runs)
+    assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+    assert len({max(o.cells.size for o in obs) for obs, _ in runs}) == 3
+    assert len({n for r in alone for n in r.per_chain_iters}) > 2
+    assert 0 < alone[0].converged_chains < 7
+
+
+# (seed, require_convergence) of each run at step 5.0 with an 8-update
+# budget, and what the call raises. Alone, seed 1 diverges at (chain 3,
+# iteration 8) and seed 9 at (chain 1, iteration 7); seed 0 does not
+# diverge, so with require_convergence it drops every chain.
+_FIRST_ERROR = {
+    "later-run-diverges-earlier": (((1, False), (9, False)), (3, 8)),
+    "earlier-run-diverges-earlier": (((9, False), (1, False)), (1, 7)),
+    "clean-run-then-divergence": (((0, False), (9, False)), (1, 7)),
+    "convergence-error-before-divergence": (((0, True), (9, False)), None),
+    "divergence-before-convergence-error": (((9, False), (0, True)), (1, 7)),
+}
+
+
+@pytest.mark.parametrize("chains_per_block", [1, None])
+@pytest.mark.parametrize("runs, expected", _FIRST_ERROR.values(),
+                         ids=_FIRST_ERROR)
+def test_run_simulation_all_raises_the_first_error(monkeypatch, runs,
+                                                   expected,
+                                                   chains_per_block):
+    # the error of running the runs one at a time, in order
+    runs = [(obs, params) for obs, params in (
+        (_make_obs(params)[0], params) for params in (
+            _params(step_size=5.0, grad_tol=0.0, max_iters=8,
+                    literal_update=True, seed=seed,
+                    require_convergence=require)
+            for seed, require in runs))]
+    if chains_per_block is not None:
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES",
+                            chains_per_block * 8 * 5 * 8)
+    kind = ParameterError if expected is None else NumericError
+    with warnings_as_errors(), pytest.raises(kind) as excinfo:
+        protocol.run_simulation_all(runs)
+    if expected is None:
+        assert "require_convergence" in str(excinfo.value)
+    else:
+        assert (excinfo.value.chain_id, excinfo.value.iteration) == expected
+
+
+@pytest.mark.parametrize("name, value", [
+    ("latent", 1), ("step_size", 2e-3), ("literal_update", True),
+    ("reg_p", 0.0), ("reg_q", 0.0), ("max_iters", 41), ("grad_tol", 0.0)])
+def test_run_simulation_all_rejects_runs_that_disagree(name, value):
+    params = _params()
+    obs, _ = _make_obs(params)
+    other = dataclasses.replace(params, **{name: value})
+    with pytest.raises(ParameterError, match=name):
+        protocol.run_simulation_all([(obs, params), (obs, other)])
+
+
+def test_run_simulation_all_rejects_runs_of_two_shapes():
+    params = _params()
+    with pytest.raises(ParameterError, match="shape"):
+        protocol.run_simulation_all([
+            (_make_obs(params)[0], params),
+            (_make_obs(params, num_subareas=9)[0], params)])
+
+
 def test_run_result_json_has_no_observation_fields():
     params = _params(max_iters=10)
     obs, _ = _make_obs(params)
